@@ -14,19 +14,17 @@ import (
 
 // BenchmarkGeneratorFrame measures per-frame workload generation without
 // ghost queries — the core §II speed-claim machinery.
-func BenchmarkGeneratorFrame(b *testing.B) {
-	benchGeneratorFrame(b, 0)
-}
+func BenchmarkGeneratorFrame(b *testing.B) { benchGeneratorWorkers(b, 0, 0) }
+
+// BenchmarkGeneratorFrameTwoWorkers is the same no-ghost frame with
+// Workers=2. The fill stays one flat serial pass without ghost queries, so
+// it should match BenchmarkGeneratorFrame; a counter-loop fan-out measured
+// slower than the serial pass on a 2-core host.
+func BenchmarkGeneratorFrameTwoWorkers(b *testing.B) { benchGeneratorWorkers(b, 0, 2) }
 
 // BenchmarkGeneratorFrameWithGhosts includes ghost-particle workload
 // generation.
-func BenchmarkGeneratorFrameWithGhosts(b *testing.B) {
-	benchGeneratorFrame(b, 0.01)
-}
-
-func benchGeneratorFrame(b *testing.B, filter float64) {
-	benchGeneratorWorkers(b, filter, 0)
-}
+func BenchmarkGeneratorFrameWithGhosts(b *testing.B) { benchGeneratorWorkers(b, 0.01, 0) }
 
 // BenchmarkGeneratorSerial / BenchmarkGeneratorParallel compare the serial
 // fill against the worker-pool fill on a ghost-heavy ≥8-rank workload (the
@@ -38,10 +36,10 @@ func BenchmarkGeneratorSerial(b *testing.B)   { benchGeneratorWorkers(b, 0.02, 0
 func BenchmarkGeneratorParallel(b *testing.B) { benchGeneratorWorkers(b, 0.02, runtime.GOMAXPROCS(0)) }
 
 // Paper-scale fill benchmarks: N_p = 599,257 particles mapped onto R = 8352
-// ranks (the largest configuration of §V), comparing the flat per-particle
-// fill against the cell-tiled fill with the mapper assignment hoisted out of
-// the timed region — these measure exactly the matrix-fill hot path whose
-// layout this knob selects. Speedup = PaperFill*Scalar / PaperFill*Tiled.
+// ranks (the largest configuration of §V), comparing the per-particle
+// reference fill (referenceFill, the test oracle) against the production
+// cell-tiled fill on one worker, with the mapper assignment hoisted out of
+// the timed region. Speedup = PaperFill*Scalar / PaperFill*Tiled.
 // Run with: make bench-pipeline (writes BENCH_pipeline.json).
 const (
 	paperNp     = 599257
@@ -63,11 +61,11 @@ func paperCloud(np int) []geom.Vec3 {
 }
 
 func BenchmarkPaperFillBinScalar(b *testing.B) {
-	benchPaperFill(b, mapping.NewBinMapper(paperRanks, paperFilter), LayoutScalar)
+	benchPaperFill(b, mapping.NewBinMapper(paperRanks, paperFilter), false)
 }
 
 func BenchmarkPaperFillBinTiled(b *testing.B) {
-	benchPaperFill(b, mapping.NewBinMapper(paperRanks, paperFilter), LayoutTiled)
+	benchPaperFill(b, mapping.NewBinMapper(paperRanks, paperFilter), true)
 }
 
 func paperElementMapper(b *testing.B) *mapping.ElementMapper {
@@ -84,16 +82,16 @@ func paperElementMapper(b *testing.B) *mapping.ElementMapper {
 }
 
 func BenchmarkPaperFillElementScalar(b *testing.B) {
-	benchPaperFill(b, paperElementMapper(b), LayoutScalar)
+	benchPaperFill(b, paperElementMapper(b), false)
 }
 
 func BenchmarkPaperFillElementTiled(b *testing.B) {
-	benchPaperFill(b, paperElementMapper(b), LayoutTiled)
+	benchPaperFill(b, paperElementMapper(b), true)
 }
 
-func benchPaperFill(b *testing.B, mapper mapping.Mapper, layout Layout) {
+func benchPaperFill(b *testing.B, mapper mapping.Mapper, tiled bool) {
 	pos := paperCloud(paperNp)
-	g, err := NewGenerator(Config{Mapper: mapper, FilterRadius: paperFilter, Layout: layout})
+	g, err := NewGenerator(Config{Mapper: mapper, FilterRadius: paperFilter})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,9 +109,10 @@ func benchPaperFill(b *testing.B, mapper mapping.Mapper, layout Layout) {
 	comm := sparse.NewMatrix(ranks)
 	gcomp := make([]int64, ranks)
 	gcomm := sparse.NewMatrix(ranks)
-	fill := g.fillSerial
-	if g.tiled {
-		fill = g.fillTiledSerial
+	fill := func() error { return g.fillTiled(1, pos, comp, comm, gcomp, gcomm) }
+	if !tiled {
+		view := g.ghosts.GhostViews(1)[0].(scalarGhostView)
+		fill = func() error { return referenceFill(g.cur, g.prev, pos, paperFilter, view, comp, comm, gcomp, gcomm) }
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,7 +120,7 @@ func benchPaperFill(b *testing.B, mapper mapping.Mapper, layout Layout) {
 		comm.Reset()
 		clear(gcomp)
 		gcomm.Reset()
-		if err := fill(pos, comp, comm, gcomp, gcomm); err != nil {
+		if err := fill(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,48 +15,24 @@ import (
 	"picpredict/internal/trace"
 )
 
-// Layout selects the particle iteration layout of the per-frame matrix
-// fills. Every layout produces bit-identical workloads — counters are
-// integers and reductions run in a fixed order — so the choice is purely a
-// performance knob.
-type Layout int
-
-const (
-	// LayoutAuto (the default) picks the tiled fill whenever ghost queries
-	// are active — the layer whose per-particle spatial work the tiling
-	// amortises — and the flat fill otherwise, where tiling would only add
-	// the counting-sort cost.
-	LayoutAuto Layout = iota
-	// LayoutTiled always groups particles by grid cell before filling.
-	LayoutTiled
-	// LayoutScalar always iterates particles in index order — the
-	// reference path, kept for differential tests and benchmarks.
-	LayoutScalar
-)
-
 // Config is the Dynamic Workload Generator's configuration file (§II-A): the
 // system configuration (processor count, carried by the Mapper) plus the
 // application configuration relevant to workload synthesis.
 type Config struct {
-	// Mapper is the particle mapping algorithm to mimic.
+	// Mapper is the particle mapping algorithm to mimic. When it
+	// implements mapping.GhostSource it also answers the ghost queries.
 	Mapper mapping.Mapper
 	// FilterRadius is the projection filter size; it controls ghost
-	// particle creation. Zero disables ghost workload generation.
+	// particle creation. Zero disables ghost workload generation, as does
+	// a Mapper that is not a mapping.GhostSource.
 	FilterRadius float64
-	// Ghosts answers ghost-rank queries. If nil, the Mapper is used when
-	// it implements mapping.GhostSource; otherwise ghost matrices are not
-	// produced even with a positive FilterRadius.
-	Ghosts mapping.GhostSource
-	// Workers sets the worker-goroutine count of the per-frame matrix
-	// fills (0 or 1 runs serially). Workloads are identical for any
-	// value; the parallel path needs the ghost source (when one is in
-	// play) to implement mapping.ConcurrentGhostSource and falls back to
-	// serial otherwise.
+	// Workers sets the fan-out width of the ghost fill: with ghost queries
+	// active, each frame's tiles are split into Workers contiguous ranges
+	// filled concurrently (0 or 1 fills them on the calling goroutine).
+	// Without ghost queries the fill is one flat serial pass for any
+	// value — there the fan-out costs more than it saves. Workloads are
+	// identical for any value.
 	Workers int
-	// Layout selects the fill iteration layout (see Layout); the zero
-	// value LayoutAuto tiles whenever ghosts are active. Workloads are
-	// identical for every layout.
-	Layout Layout
 }
 
 // Workload is the generator's output: computation and communication
@@ -94,34 +70,27 @@ type Workload struct {
 
 // Generator synthesises a Workload from trace frames. Feed frames in order
 // with Frame, then call Finish. A Generator is single-use.
+//
+// The per-frame fill follows from the input. With ghost queries active it
+// is tiled: particles are grouped by grid cell so each tile answers its
+// ghost query in one batched call, and the tiles are split into Workers
+// ranges. Without ghost queries it is one flat serial pass over the
+// real-particle counters, where tiling would only add the sort.
 type Generator struct {
 	cfg    Config
-	ghosts mapping.GhostSource
+	ghosts mapping.GhostSource     // nil unless ghost queries are active
 	mig    mapping.MigrationSource // non-nil iff the mapper reports migrations
 
 	wl       *Workload
 	prev     []int // rank of each particle in the previous frame
 	cur      []int
-	ghostBuf []int
 	frames   int
 	finished bool
 
 	// tiled-fill state
-	tiled      bool
-	tb         tile.Builder
-	tl         *tile.Tiling
-	tileGhosts mapping.TileGhostSource // TileSource(ghosts), cached
-	scratch    tileScratch             // serial tile scratch
-
-	// parallel-fill state (workers > 1)
-	workers       int
-	ghostFanout   mapping.ConcurrentGhostSource // non-nil iff ghosts can fan out
-	partComp      [][]int64                     // per-worker real-comp partials
-	partGhost     [][]int64                     // per-worker ghost-comp partials
-	partComm      []*sparse.Matrix              // per-worker real-comm partials, pooled across frames
-	partGhostComm []*sparse.Matrix              // per-worker ghost-comm partials, pooled across frames
-	workScratch   []tileScratch                 // per-worker tile scratch
-	parErrs       []error
+	tb    tile.Builder
+	tl    *tile.Tiling
+	parts []fillPart // one per worker, pooled across frames
 
 	// observability (nil instruments when disabled; see SetObs)
 	obsOn        bool
@@ -137,11 +106,12 @@ type Generator struct {
 }
 
 // SetObs attaches an observability registry: per-frame fill latency lands
-// in core.fill_serial_ns / core.fill_parallel_ns (the two histograms are
-// the serial-vs-Workers speedup measurement), frame and ghost-query/copy
-// totals in core.* counters, and core.tiles counts the tiles the tiled
-// layout processed. Call before the first Frame; a nil registry leaves the
-// generator uninstrumented (the default).
+// in core.fill_parallel_ns when the tiled fill fanned out over several
+// workers and in core.fill_serial_ns otherwise (the flat no-ghost pass, a
+// one-range tiled fill, or a frame too small to fan out), frame and
+// ghost-query/copy totals in core.* counters, and core.tiles counts the
+// tiles the tiled fill processed. Call before the first Frame; a nil
+// registry leaves the generator uninstrumented (the default).
 func (g *Generator) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -169,20 +139,9 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.FilterRadius < 0 {
 		return nil, fmt.Errorf("core: negative filter radius %g", cfg.FilterRadius)
 	}
-	if cfg.Layout < LayoutAuto || cfg.Layout > LayoutScalar {
-		return nil, fmt.Errorf("core: unknown layout %d", cfg.Layout)
-	}
 	g := &Generator{cfg: cfg}
-	if cfg.FilterRadius > 0 {
-		if cfg.Ghosts != nil {
-			g.ghosts = cfg.Ghosts
-		} else if gs, ok := cfg.Mapper.(mapping.GhostSource); ok {
-			g.ghosts = gs
-		}
-	}
-	g.tiled = cfg.Layout == LayoutTiled || (cfg.Layout == LayoutAuto && g.ghosts != nil)
-	if g.ghosts != nil {
-		g.tileGhosts = mapping.TileSource(g.ghosts)
+	if gs, ok := cfg.Mapper.(mapping.GhostSource); ok && cfg.FilterRadius > 0 {
+		g.ghosts = gs
 	}
 	r := cfg.Mapper.Ranks()
 	g.wl = &Workload{
@@ -198,18 +157,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		g.mig = ms
 		g.wl.MigElemComm = sparse.NewSeries(r)
 		g.wl.MigPartComm = sparse.NewSeries(r)
-	}
-	if cfg.Workers > 1 {
-		g.workers = cfg.Workers
-		if g.ghosts != nil {
-			fanout, ok := g.ghosts.(mapping.ConcurrentGhostSource)
-			if !ok {
-				// Ghost queries cannot fan out; fall back to serial.
-				g.workers = 0
-			} else {
-				g.ghostFanout = fanout
-			}
-		}
 	}
 	return g, nil
 }
@@ -262,37 +209,34 @@ func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 		}
 	}
 
-	parallel := g.workers > 1 && len(pos) >= 4*g.workers
+	// Frames too small to feed every worker fill as one range.
+	workers := 1
+	if g.ghosts != nil && g.cfg.Workers > 1 && len(pos) >= 4*g.cfg.Workers {
+		workers = g.cfg.Workers
+	}
 	var t0 time.Time
 	if g.obsOn {
 		t0 = time.Now() //lint:allow determinism wall-clock fill timing for the obs layer; workload contents never depend on it
 	}
 	var err error
-	switch {
-	case g.tiled && parallel:
-		err = g.fillTiledParallel(pos, comp, comm, gcomp, gcomm)
-	case g.tiled:
-		err = g.fillTiledSerial(pos, comp, comm, gcomp, gcomm)
-	case parallel:
-		err = g.fillParallel(pos, comp, comm, gcomp, gcomm)
-	default:
-		err = g.fillSerial(pos, comp, comm, gcomp, gcomm)
+	if g.ghosts != nil {
+		err = g.fillTiled(workers, pos, comp, comm, gcomp, gcomm)
+	} else {
+		err = g.fillFlat(comp, comm)
 	}
 	if err != nil {
 		return fmt.Errorf("core: frame %d: %w", g.frames, err)
 	}
 	if g.obsOn {
 		ns := time.Since(t0).Nanoseconds()
-		if parallel {
+		if workers > 1 {
 			g.fillParNs.Observe(ns)
 		} else {
 			g.fillSerialNs.Observe(ns)
 		}
 		g.obsFrames.Inc()
-		if g.tiled && g.tl != nil {
-			g.obsTiles.Add(int64(g.tl.NumTiles()))
-		}
 		if g.ghosts != nil {
+			g.obsTiles.Add(int64(g.tl.NumTiles()))
 			// One ghost query per particle per frame; the copies actually
 			// materialised are this frame's ghost-comp row sum.
 			g.ghostQueries.Add(int64(len(pos)))
@@ -309,34 +253,17 @@ func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 	return nil
 }
 
-// fillSerial fills this frame's slice of the workload matrices in one pass.
-func (g *Generator) fillSerial(pos []geom.Vec3, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
-	// Computation load (real particles).
+// fillFlat is the whole fill when ghost queries are off: one serial pass
+// counting each rank's real particles and, past the first frame, the
+// particles whose rank R_p changed since the previous interval.
+func (g *Generator) fillFlat(comp []int64, comm *sparse.Matrix) error {
 	for _, r := range g.cur {
 		comp[r]++
 	}
-
-	// Communication load (real particles): R_p changed between intervals.
 	if g.frames > 0 {
 		for i, r := range g.cur {
 			if p := g.prev[i]; p != r {
 				if err := comm.Add(p, r, 1); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	// Ghost workload: per frame, every particle materialises a ghost on
-	// each foreign rank its projection filter touches; the ghost copy is
-	// particle data sent home→ghost this interval.
-	if g.ghosts != nil {
-		for i, p := range pos {
-			home := g.cur[i]
-			g.ghostBuf = g.ghosts.GhostRanks(g.ghostBuf[:0], p, g.cfg.FilterRadius, home)
-			for _, r := range g.ghostBuf {
-				gcomp[r]++
-				if err := gcomm.Add(home, r, 1); err != nil {
 					return err
 				}
 			}
@@ -350,14 +277,6 @@ func (g *Generator) fillSerial(pos []geom.Vec3, comp []int64, comm *sparse.Matri
 // enough that a handful of rank groups covers it, while holding hundreds of
 // particles at realistic densities.
 const tileCellRadii = 2.0
-
-// buildTiling groups this frame's particles by grid cell. The tile count is
-// capped at the particle count so the CSR header and counting sort stay
-// linear in the frame size.
-func (g *Generator) buildTiling(pos []geom.Vec3) *tile.Tiling {
-	g.tl = g.tb.Build(pos, tileCellRadii*g.cfg.FilterRadius, len(pos)+1)
-	return g.tl
-}
 
 // pairTally accumulates one tile's (src, dst) → count pairs in parallel
 // slices before flushing them into the sparse matrix in one pass. A tile's
@@ -395,13 +314,33 @@ func (t *pairTally) flush(m *sparse.Matrix) error {
 	return nil
 }
 
-// tileScratch is the per-goroutine working set of the tiled fill: the
-// batched ghost-query output buffers and the sparse-pair tallies.
-type tileScratch struct {
+// fillPart is one worker's working set of the tiled fill: the batched
+// ghost-query output buffers and the sparse-pair tallies, plus the private
+// partial matrices it fills when the fill fans out.
+type fillPart struct {
 	flat       []int
 	offs       []int32
 	commPairs  pairTally
 	ghostPairs pairTally
+
+	comp, gcomp []int64
+	comm, gcomm *sparse.Matrix
+	err         error
+}
+
+// resetPartials zeroes the partial matrices, allocating them on first use;
+// sparse partials are Reset rather than reallocated, so steady-state frames
+// allocate nothing here.
+func (p *fillPart) resetPartials(ranks int) {
+	if p.comp == nil {
+		p.comp, p.gcomp = make([]int64, ranks), make([]int64, ranks)
+		p.comm, p.gcomm = sparse.NewMatrix(ranks), sparse.NewMatrix(ranks)
+		return
+	}
+	clear(p.comp)
+	clear(p.gcomp)
+	p.comm.Reset()
+	p.gcomm.Reset()
 }
 
 // fillTileRange fills the matrices from tiles [t0, t1) of tl. Per tile it
@@ -410,7 +349,7 @@ type tileScratch struct {
 // the per-particle rank sets into the ghost row and copy pairs. All updates
 // are integer adds, so any tile partition produces the results of the flat
 // per-particle loop bit-for-bit.
-func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, src mapping.TileGhostSource, scr *tileScratch,
+func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, view mapping.GhostView, p *fillPart,
 	comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix, withComm bool) error {
 	radius := g.cfg.FilterRadius
 	for t := t0; t < t1; t++ {
@@ -422,10 +361,10 @@ func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, 
 			r := g.cur[i]
 			comp[r]++
 			if withComm {
-				if p := g.prev[i]; p != r {
-					scr.commPairs.add(p, r)
-					if len(scr.commPairs.src) >= pairTallyFlushAt {
-						if err := scr.commPairs.flush(comm); err != nil {
+				if pr := g.prev[i]; pr != r {
+					p.commPairs.add(pr, r)
+					if len(p.commPairs.src) >= pairTallyFlushAt {
+						if err := p.commPairs.flush(comm); err != nil {
 							return err
 						}
 					}
@@ -433,220 +372,83 @@ func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, 
 			}
 		}
 		if withComm {
-			if err := scr.commPairs.flush(comm); err != nil {
+			if err := p.commPairs.flush(comm); err != nil {
 				return err
 			}
 		}
-		if src != nil {
-			scr.flat, scr.offs = src.GhostRanksTile(scr.flat[:0], scr.offs[:0], ids, pos, g.cur, radius)
-			prev := 0
-			for j, i := range ids {
-				end := int(scr.offs[j])
-				home := g.cur[i]
-				for _, r := range scr.flat[prev:end] {
-					gcomp[r]++
-					scr.ghostPairs.add(home, r)
-				}
-				prev = end
-				if len(scr.ghostPairs.src) >= pairTallyFlushAt {
-					if err := scr.ghostPairs.flush(gcomm); err != nil {
-						return err
-					}
+		p.flat, p.offs = view.GhostRanksTile(p.flat[:0], p.offs[:0], ids, pos, g.cur, radius)
+		prev := 0
+		for j, i := range ids {
+			end := int(p.offs[j])
+			home := g.cur[i]
+			for _, r := range p.flat[prev:end] {
+				gcomp[r]++
+				p.ghostPairs.add(home, r)
+			}
+			prev = end
+			if len(p.ghostPairs.src) >= pairTallyFlushAt {
+				if err := p.ghostPairs.flush(gcomm); err != nil {
+					return err
 				}
 			}
-			if err := scr.ghostPairs.flush(gcomm); err != nil {
-				return err
-			}
 		}
-	}
-	return nil
-}
-
-// fillTiledSerial is fillSerial on the tiled layout: one goroutine, tiles
-// in ascending cell order, particles in ascending index order within each
-// tile.
-func (g *Generator) fillTiledSerial(pos []geom.Vec3, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
-	tl := g.buildTiling(pos)
-	var src mapping.TileGhostSource
-	if g.ghosts != nil {
-		src = g.tileGhosts
-	}
-	return g.fillTileRange(tl, 0, tl.NumTiles(), pos, src, &g.scratch, comp, comm, gcomp, gcomm, g.frames > 0)
-}
-
-// ensureParallelState allocates the per-worker partial matrices and
-// scratch once; partial sparse matrices are pooled and Reset per frame, so
-// steady-state frames allocate nothing here.
-func (g *Generator) ensureParallelState() {
-	if g.partComp != nil {
-		return
-	}
-	workers := g.workers
-	ranks := g.wl.Ranks
-	g.partComp = make([][]int64, workers)
-	g.partComm = make([]*sparse.Matrix, workers)
-	for w := range g.partComp {
-		g.partComp[w] = make([]int64, ranks)
-		g.partComm[w] = sparse.NewMatrix(ranks)
-	}
-	if g.ghosts != nil {
-		g.partGhost = make([][]int64, workers)
-		g.partGhostComm = make([]*sparse.Matrix, workers)
-		for w := range g.partGhost {
-			g.partGhost[w] = make([]int64, ranks)
-			g.partGhostComm[w] = sparse.NewMatrix(ranks)
-		}
-	}
-	g.workScratch = make([]tileScratch, workers)
-	g.parErrs = make([]error, workers)
-}
-
-// reducePartials folds the per-worker partials into the frame matrices in
-// fixed worker order. Integer sums: the order cannot change the result,
-// it only makes runs reproducible instrumentation-wise.
-func (g *Generator) reducePartials(comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix, withComm bool) error {
-	for w := 0; w < g.workers; w++ {
-		for i, v := range g.partComp[w] {
-			comp[i] += v
-		}
-		if withComm {
-			if err := g.partComm[w].AddInto(comm); err != nil {
-				return err
-			}
-		}
-		if g.ghosts != nil {
-			for i, v := range g.partGhost[w] {
-				gcomp[i] += v
-			}
-			if err := g.partGhostComm[w].AddInto(gcomm); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// fillParallel shards the particle range across worker goroutines, each
-// filling private partial matrices, then reduces the partials serially. All
-// counters are integers, so the result is identical to fillSerial for any
-// worker count. The mapper assignment (g.cur/g.prev) and, when ghosts are
-// active, the fan-out views' shared frame state are read-only during the
-// fan-out.
-func (g *Generator) fillParallel(pos []geom.Vec3, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
-	workers := g.workers
-	g.ensureParallelState()
-	var views []mapping.GhostSource
-	if g.ghosts != nil {
-		views = g.ghostFanout.GhostViews(workers)
-	}
-
-	errs := g.parErrs
-	clear(errs)
-	firstFrame := g.frames == 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo := len(pos) * w / workers
-			hi := len(pos) * (w + 1) / workers
-
-			pc := g.partComp[w]
-			clear(pc)
-			for _, r := range g.cur[lo:hi] {
-				pc[r]++
-			}
-
-			if !firstFrame {
-				pm := g.partComm[w]
-				pm.Reset()
-				for i := lo; i < hi; i++ {
-					if p, c := g.prev[i], g.cur[i]; p != c {
-						if err := pm.Add(p, c, 1); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}
-			}
-
-			if g.ghosts != nil {
-				pg := g.partGhost[w]
-				clear(pg)
-				pgm := g.partGhostComm[w]
-				pgm.Reset()
-				view := views[w]
-				var buf []int
-				for i := lo; i < hi; i++ {
-					home := g.cur[i]
-					buf = view.GhostRanks(buf[:0], pos[i], g.cfg.FilterRadius, home)
-					for _, r := range buf {
-						pg[r]++
-						if err := pgm.Add(home, r, 1); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		if err := p.ghostPairs.flush(gcomm); err != nil {
 			return err
 		}
 	}
-	return g.reducePartials(comp, comm, gcomp, gcomm, !firstFrame)
+	return nil
 }
 
-// fillTiledParallel shards contiguous tile ranges (balanced by particle
-// count) across worker goroutines, each running the tiled fill into private
-// partial matrices, then reduces the partials serially in worker order —
-// identical results to every other fill path.
-func (g *Generator) fillTiledParallel(pos []geom.Vec3, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
-	workers := g.workers
-	g.ensureParallelState()
-	tl := g.buildTiling(pos)
-	var views []mapping.GhostSource
-	if g.ghosts != nil {
-		views = g.ghostFanout.GhostViews(workers)
+// fillTiled is the fill when ghost queries are active. It groups the
+// frame's particles by grid cell and splits the tiles into contiguous
+// ranges balanced by particle count, one per worker. A single range fills
+// the frame matrices directly. Several ranges fill private partials
+// concurrently — the mapper assignment and the views' shared frame state
+// are read-only meanwhile — which are then reduced in worker order. All
+// counters are integers, so every worker count gives the same workload.
+func (g *Generator) fillTiled(workers int, pos []geom.Vec3, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
+	g.tl = g.tb.Build(pos, tileCellRadii*g.cfg.FilterRadius, len(pos)+1)
+	tl := g.tl
+	views := g.ghosts.GhostViews(workers)
+	for len(g.parts) < workers {
+		g.parts = append(g.parts, fillPart{})
 	}
+	withComm := g.frames > 0
+	if workers == 1 {
+		return g.fillTileRange(tl, 0, tl.NumTiles(), pos, views[0], &g.parts[0], comp, comm, gcomp, gcomm, withComm)
+	}
+
 	ranges := tl.Ranges(workers)
-
-	errs := g.parErrs
-	clear(errs)
-	firstFrame := g.frames == 0
+	parts := g.parts[:workers]
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range parts {
 		wg.Add(1)
-		go func(w int) {
+		go func(p *fillPart, rg [2]int, view mapping.GhostView) {
 			defer wg.Done()
-			pc := g.partComp[w]
-			clear(pc)
-			pm := g.partComm[w]
-			pm.Reset()
-			var pg []int64
-			var pgm *sparse.Matrix
-			var src mapping.TileGhostSource
-			if g.ghosts != nil {
-				pg = g.partGhost[w]
-				clear(pg)
-				pgm = g.partGhostComm[w]
-				pgm.Reset()
-				src = mapping.TileSource(views[w])
-			}
-			errs[w] = g.fillTileRange(tl, ranges[w][0], ranges[w][1], pos, src, &g.workScratch[w],
-				pc, pm, pg, pgm, !firstFrame)
-		}(w)
+			p.resetPartials(g.wl.Ranks)
+			p.err = g.fillTileRange(tl, rg[0], rg[1], pos, view, p, p.comp, p.comm, p.gcomp, p.gcomm, withComm)
+		}(&parts[w], ranges[w], views[w])
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for w := range parts {
+		p := &parts[w]
+		if p.err != nil {
+			return p.err
+		}
+		for r, v := range p.comp {
+			comp[r] += v
+		}
+		for r, v := range p.gcomp {
+			gcomp[r] += v
+		}
+		if err := p.comm.AddInto(comm); err != nil {
+			return err
+		}
+		if err := p.gcomm.AddInto(gcomm); err != nil {
 			return err
 		}
 	}
-	return g.reducePartials(comp, comm, gcomp, gcomm, !firstFrame)
+	return nil
 }
 
 // Finish finalises and returns the workload. Frame may not be called again.

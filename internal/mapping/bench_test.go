@@ -83,9 +83,10 @@ func BenchmarkGhostRanksBin(b *testing.B) {
 	if err := bm.Assign(dst, pos); err != nil {
 		b.Fatal(err)
 	}
+	view := ghostView(bm)
 	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = bm.GhostRanks(buf[:0], pos[i%len(pos)], 0.02, dst[i%len(pos)])
+		buf = view.GhostRanks(buf[:0], pos[i%len(pos)], 0.02, dst[i%len(pos)])
 	}
 }

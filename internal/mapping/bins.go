@@ -74,10 +74,7 @@ type BinMapper struct {
 	perm  []int
 	index *binIndex // ghost-query accelerator, rebuilt per Assign
 
-	// ghost-query views: ownView backs the mapper's own GhostRanks,
-	// views are handed out by GhostViews for parallel fills.
-	ownView *binGhostView
-	views   []*binGhostView
+	views []GhostView // cached GhostViews
 }
 
 // NewBinMapper constructs a bin mapper for ranks processors with the given

@@ -60,8 +60,7 @@ type DynamicMapper struct {
 
 	owner  []int
 	decomp *mesh.Decomposition
-	owners *mesh.SphereOwners // lazy, invalidated at epochs
-	views  []sphereGhostView  // cached GhostViews, invalidated at epochs
+	views  []GhostView // cached GhostViews, invalidated at epochs
 
 	frame   int
 	epochs  int
@@ -171,12 +170,10 @@ func (dm *DynamicMapper) gridLoad() float64 {
 }
 
 // install swaps in a new decomposition and invalidates the cached ghost
-// query machinery; the next ghost query or GhostViews call rebuilds it over
-// the new owners.
+// views; the next GhostViews call rebuilds them over the new owners.
 func (dm *DynamicMapper) install(d *mesh.Decomposition) {
 	dm.decomp = d
 	dm.owner = d.Owner
-	dm.owners = nil
 	dm.views = nil
 }
 
@@ -237,42 +234,18 @@ func (dm *DynamicMapper) DrainMigrations() []Migration {
 // initial installation.
 func (dm *DynamicMapper) RebalanceEpochs() int { return dm.epochs }
 
-// GhostRanks implements GhostSource over the current decomposition.
-func (dm *DynamicMapper) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
-	return dm.ownersQuery().Ranks(dst, pos, radius, home)
-}
-
-// GhostRanksTile implements TileGhostSource over the current decomposition.
-func (dm *DynamicMapper) GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32) {
-	return dm.ownersQuery().RanksTile(flat, offs, ids, pos, home, radius)
-}
-
-func (dm *DynamicMapper) ownersQuery() *mesh.SphereOwners {
-	if dm.owners == nil {
-		dm.owners = mesh.NewSphereOwners(dm.Mesh, dm.decomp)
-	}
-	return dm.owners
-}
-
-// GhostViews implements ConcurrentGhostSource. Unlike ElementMapper the
-// views only survive until the next epoch swap, which invalidates them; the
-// generator re-requests views each frame, so a post-epoch frame transparently
-// gets views over the new owners.
-func (dm *DynamicMapper) GhostViews(n int) []GhostSource {
-	for len(dm.views) < n {
-		dm.views = append(dm.views, sphereGhostView{q: mesh.NewSphereOwners(dm.Mesh, dm.decomp)})
-	}
-	out := make([]GhostSource, n)
-	for i := range out {
-		out[i] = dm.views[i]
-	}
-	return out
+// GhostViews implements GhostSource over the current decomposition. Unlike
+// ElementMapper the views only survive until the next epoch swap, which
+// invalidates them; the generator re-requests views each frame, so a
+// post-epoch frame transparently gets views over the new owners.
+func (dm *DynamicMapper) GhostViews(n int) []GhostView {
+	dm.views = sphereViews(dm.views, dm.Mesh, dm.decomp, n)
+	return dm.views[:n]
 }
 
 var (
-	_ Mapper                = (*DynamicMapper)(nil)
-	_ ConcurrentGhostSource = (*DynamicMapper)(nil)
-	_ TileGhostSource       = (*DynamicMapper)(nil)
-	_ MigrationSource       = (*DynamicMapper)(nil)
-	_ RebalanceStats        = (*DynamicMapper)(nil)
+	_ Mapper          = (*DynamicMapper)(nil)
+	_ GhostSource     = (*DynamicMapper)(nil)
+	_ MigrationSource = (*DynamicMapper)(nil)
+	_ RebalanceStats  = (*DynamicMapper)(nil)
 )

@@ -146,17 +146,8 @@ func TestDynamicMapperGhostViewsFollowEpochs(t *testing.T) {
 	for i, p := range pos[:32] {
 		home := dm.decomp.RankOf(m.ElementAt(p))
 		want := fresh.Ranks(nil, p, 0.6, home)
-		got := dm.GhostRanks(nil, p, 0.6, home)
-		if len(got) != len(want) {
-			t.Fatalf("particle %d: GhostRanks %v, want %v", i, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("particle %d: GhostRanks %v, want %v", i, got, want)
-			}
-		}
 		for v, view := range views {
-			got := view.GhostRanks(nil, p, 0.6, home)
+			got := view.(scalarView).GhostRanks(nil, p, 0.6, home)
 			if len(got) != len(want) {
 				t.Fatalf("particle %d view %d: GhostRanks %v, want %v", i, v, got, want)
 			}

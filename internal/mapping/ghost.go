@@ -9,111 +9,58 @@ import (
 // queries: given a particle, which ranks other than its home hold domain
 // data inside its projection filter radius? The Dynamic Workload Generator
 // uses it to build the ghost-particle computation and communication
-// matrices. Queries are made after Assign for the same frame, so mappers
-// may answer from per-frame state (bin boxes, for instance).
+// matrices. Queries are made after Assign for the same frame, so views may
+// answer from per-frame state (bin boxes, for instance).
 type GhostSource interface {
-	// GhostRanks appends the ghost ranks of a particle at pos with home
-	// rank home to dst and returns the extended slice (no duplicates,
-	// home excluded).
-	GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int
+	// GhostViews returns n query views that are safe to use concurrently
+	// with one another (though each individual view is not itself safe
+	// for concurrent use); a serial caller asks for one. Views answer
+	// from the state of the most recent Assign call and are invalidated
+	// by the next one; any shared read-only structure they need is built
+	// eagerly here, before the caller fans out.
+	GhostViews(n int) []GhostView
 }
 
-// ConcurrentGhostSource is a GhostSource whose per-frame ghost queries can
-// be answered by independent view objects, enabling the workload
-// generator's parallel fill path: each worker goroutine queries its own
-// view while they all share the frame's read-only spatial structures.
-type ConcurrentGhostSource interface {
-	GhostSource
-	// GhostViews returns n query objects that are safe to use
-	// concurrently with one another (though each individual view is not
-	// itself safe for concurrent use). Views answer from the state of the
-	// most recent Assign call and are invalidated by the next one; any
-	// shared read-only structure they need is built eagerly here, before
-	// the caller fans out.
-	GhostViews(n int) []GhostSource
-}
-
-// TileGhostSource is a GhostSource that can additionally answer the ghost
-// query for a whole tile of spatially adjacent particles in one batched
-// call. Implementations hoist the spatial candidate scan (grid cells or
-// bins, grouped by rank) out of the per-particle loop, so one intersection
-// setup serves every particle in the tile.
+// GhostView answers the ghost query for a whole tile of spatially adjacent
+// particles in one batched call. Implementations hoist the spatial
+// candidate scan (grid cells or bins, grouped by rank) out of the
+// per-particle loop, so one intersection setup serves every particle in the
+// tile.
 //
 // Contract: for each particle index ids[j] in order, GhostRanksTile appends
-// that particle's ghost ranks (the same *set* GhostRanks would return for
-// pos[ids[j]] with home[ids[j]] — order within the set is unspecified) to
-// flat and appends the new len(flat) to offs, so particle ids[j]'s ranks
-// are flat[offs[j-1]:offs[j]], reading offs[-1] as len(flat) at entry.
-// Callers normally pass flat[:0], offs[:0] per tile.
-type TileGhostSource interface {
-	GhostSource
+// that particle's ghost ranks (the ranks for pos[ids[j]] with home rank
+// home[ids[j]]: no duplicates, home excluded, order within the set
+// unspecified) to flat and appends the new len(flat) to offs, so particle
+// ids[j]'s ranks are flat[offs[j-1]:offs[j]], reading offs[-1] as len(flat)
+// at entry. Callers normally pass flat[:0], offs[:0] per tile. The concrete
+// views also answer per particle (GhostRanks), the reference their tile
+// queries are tested against.
+type GhostView interface {
 	GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32)
 }
 
-// TileSource adapts gs to the batched tile interface: native
-// implementations are returned unchanged, anything else gets a fallback
-// adapter answering one GhostRanks call per tile particle — identical
-// answers, none of the batching win.
-func TileSource(gs GhostSource) TileGhostSource {
-	if ts, ok := gs.(TileGhostSource); ok {
-		return ts
-	}
-	return perParticleTiles{gs: gs}
-}
-
-// perParticleTiles is TileSource's per-particle fallback adapter.
-type perParticleTiles struct{ gs GhostSource }
-
-func (a perParticleTiles) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
-	return a.gs.GhostRanks(dst, pos, radius, home)
-}
-
-func (a perParticleTiles) GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32) {
-	for _, i := range ids {
-		flat = a.gs.GhostRanks(flat, pos[i], radius, home[i])
-		offs = append(offs, int32(len(flat)))
-	}
-	return flat, offs
-}
-
-// GhostRanks implements GhostSource for element-based mapping: ghost ranks
-// are the owners of the spectral elements the filter ball touches. The
-// query object is created lazily on first use.
-func (em *ElementMapper) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
-	return em.ownersQuery().Ranks(dst, pos, radius, home)
-}
-
-// GhostRanksTile implements TileGhostSource for element-based mapping via
-// mesh.SphereOwners.RanksTile: the candidate elements of the tile's search
-// window are gathered and rank-grouped once, then each particle runs an
-// early-exit per-rank membership test.
-func (em *ElementMapper) GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32) {
-	return em.ownersQuery().RanksTile(flat, offs, ids, pos, home, radius)
-}
-
-func (em *ElementMapper) ownersQuery() *mesh.SphereOwners {
-	if em.owners == nil {
-		em.owners = mesh.NewSphereOwners(em.Mesh, em.Decomp)
-	}
-	return em.owners
-}
-
-// GhostViews implements ConcurrentGhostSource for element-based mapping:
-// every view is its own SphereOwners query over the shared (immutable) mesh
-// and decomposition. Views are cached — the decomposition never changes, so
+// GhostViews implements GhostSource for element-based mapping: ghost ranks
+// are the owners of the spectral elements the filter ball touches. Every
+// view is its own SphereOwners query over the shared (immutable) mesh and
+// decomposition. Views are cached — the decomposition never changes, so
 // they stay valid across frames.
-func (em *ElementMapper) GhostViews(n int) []GhostSource {
-	for len(em.views) < n {
-		em.views = append(em.views, sphereGhostView{q: mesh.NewSphereOwners(em.Mesh, em.Decomp)})
-	}
-	out := make([]GhostSource, n)
-	for i := range out {
-		out[i] = em.views[i]
-	}
-	return out
+func (em *ElementMapper) GhostViews(n int) []GhostView {
+	em.views = sphereViews(em.views, em.Mesh, em.Decomp, n)
+	return em.views[:n]
 }
 
-// sphereGhostView adapts a private SphereOwners query to GhostSource.
+// sphereViews extends views to at least n SphereOwners queries over m and d.
+func sphereViews(views []GhostView, m *mesh.Mesh, d *mesh.Decomposition, n int) []GhostView {
+	for len(views) < n {
+		views = append(views, sphereGhostView{q: mesh.NewSphereOwners(m, d)})
+	}
+	return views
+}
+
+// sphereGhostView adapts a private SphereOwners query to GhostView. The
+// tile query goes through mesh.SphereOwners.RanksTile: the candidate
+// elements of the tile's search window are gathered and rank-grouped once,
+// then each particle runs an early-exit per-rank membership test.
 type sphereGhostView struct{ q *mesh.SphereOwners }
 
 func (v sphereGhostView) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
@@ -124,61 +71,24 @@ func (v sphereGhostView) GhostRanksTile(flat []int, offs []int32, ids []int32, p
 	return v.q.RanksTile(flat, offs, ids, pos, home, radius)
 }
 
-// GhostRanks implements GhostSource for bin-based mapping: with
+// GhostViews implements GhostSource for bin-based mapping: with
 // particle–grid locality decoupled, a particle's influence reaches the
 // ranks whose bin regions its filter ball intersects — the particles in
 // those bins need the overlapping grid data (§III-C: "transferring
-// associated grid data between the processors"). Answers are based on the
-// bins of the most recent Assign call, accelerated by a uniform-grid index
-// over bin boxes so each query touches only nearby bins (workload
-// generation runs millions of these queries per trace).
-func (bm *BinMapper) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
-	if radius <= 0 || len(bm.lastBins) == 0 {
-		return dst
-	}
-	return bm.ownBinView().GhostRanks(dst, pos, radius, home)
-}
-
-// GhostRanksTile implements TileGhostSource for bin-based mapping: the
-// candidate bins of the tile's search window are deduplicated and
-// rank-grouped once, then each particle runs an early-exit per-rank
-// intersection test against that rank's bins.
-func (bm *BinMapper) GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32) {
-	if radius <= 0 || len(bm.lastBins) == 0 {
-		for range ids {
-			offs = append(offs, int32(len(flat)))
-		}
-		return flat, offs
-	}
-	return bm.ownBinView().GhostRanksTile(flat, offs, ids, pos, home, radius)
-}
-
-func (bm *BinMapper) ownBinView() *binGhostView {
-	if bm.index == nil {
-		bm.index = buildBinIndex(bm.lastBins)
-	}
-	if bm.ownView == nil {
-		bm.ownView = &binGhostView{bm: bm}
-	}
-	return bm.ownView
-}
-
-// GhostViews implements ConcurrentGhostSource for bin-based mapping: the
-// shared spatial index over the current frame's bins is built eagerly, then
-// every view queries it with private scratch buffers. Views answer from the
-// bins of the most recent Assign and are invalidated by the next one.
-func (bm *BinMapper) GhostViews(n int) []GhostSource {
+// associated grid data between the processors"). The shared uniform-grid
+// index over the current frame's bin boxes is built eagerly, so each query
+// touches only nearby bins (workload generation runs millions of these
+// queries per trace); every view queries it with private scratch buffers.
+// Views answer from the bins of the most recent Assign and are invalidated
+// by the next one.
+func (bm *BinMapper) GhostViews(n int) []GhostView {
 	if bm.index == nil && len(bm.lastBins) > 0 {
 		bm.index = buildBinIndex(bm.lastBins)
 	}
 	for len(bm.views) < n {
 		bm.views = append(bm.views, &binGhostView{bm: bm})
 	}
-	out := make([]GhostSource, n)
-	for i := range out {
-		out[i] = bm.views[i]
-	}
-	return out
+	return bm.views[:n]
 }
 
 // binGhostView answers ghost queries against its mapper's current bins and
@@ -226,7 +136,7 @@ func (v *binGhostView) GhostRanks(dst []int, pos geom.Vec3, radius float64, home
 	return dst
 }
 
-// GhostRanksTile implements the TileGhostSource contract against the
+// GhostRanksTile implements the GhostView contract against the
 // mapper's current bins: per-particle rank sets are identical to
 // GhostRanks — same candidate visibility (bucket-window overlap), same
 // exact intersection test — with the bucket scan, deduplication and rank
@@ -346,10 +256,8 @@ func containsRank(rs []int, r int) bool {
 }
 
 var (
-	_ ConcurrentGhostSource = (*ElementMapper)(nil)
-	_ ConcurrentGhostSource = (*BinMapper)(nil)
-	_ TileGhostSource       = (*ElementMapper)(nil)
-	_ TileGhostSource       = (*BinMapper)(nil)
-	_ TileGhostSource       = sphereGhostView{}
-	_ TileGhostSource       = (*binGhostView)(nil)
+	_ GhostSource = (*ElementMapper)(nil)
+	_ GhostSource = (*BinMapper)(nil)
+	_ GhostView   = sphereGhostView{}
+	_ GhostView   = (*binGhostView)(nil)
 )

@@ -8,6 +8,16 @@ import (
 	"picpredict/internal/mesh"
 )
 
+// scalarView is a GhostView that also answers per particle, as every
+// concrete view does.
+type scalarView interface {
+	GhostView
+	GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int
+}
+
+// ghostView returns a single view of gs, as a serial caller gets it.
+func ghostView(gs GhostSource) scalarView { return gs.GhostViews(1)[0].(scalarView) }
+
 func TestElementMapperGhostRanks(t *testing.T) {
 	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(4, 4, 1)), 4, 4, 1, 3)
 	if err != nil {
@@ -17,7 +27,7 @@ func TestElementMapperGhostRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em := NewElementMapper(m, d)
+	em := ghostView(NewElementMapper(m, d))
 	// Centre point with a ball reaching all quadrants: 3 foreign ranks.
 	home := d.RankOf(m.ElementAt(geom.V(2, 2, 0.5)))
 	got := em.GhostRanks(nil, geom.V(2, 2, 0.5), 0.7, home)
@@ -58,11 +68,12 @@ func TestBinGhostRanksMatchesBruteForce(t *testing.T) {
 		sort.Ints(out)
 		return out
 	}
+	view := ghostView(bm)
 	for i := 0; i < 500; i++ {
 		p := pos[i*7%len(pos)]
 		home := dst[i*7%len(pos)]
 		radius := 0.005 + float64(i%5)*0.01
-		got := bm.GhostRanks(nil, p, radius, home)
+		got := view.GhostRanks(nil, p, radius, home)
 		sort.Ints(got)
 		want := brute(p, radius, home)
 		if len(got) != len(want) {
@@ -84,13 +95,13 @@ func TestBinGhostIndexInvalidatedOnAssign(t *testing.T) {
 	if err := bm.Assign(dst, posA); err != nil {
 		t.Fatal(err)
 	}
-	_ = bm.GhostRanks(nil, posA[0], 0.1, dst[0]) // builds the index
+	_ = ghostView(bm).GhostRanks(nil, posA[0], 0.1, dst[0]) // builds the index
 	if err := bm.Assign(dst, posB); err != nil {
 		t.Fatal(err)
 	}
 	// Queries against the new frame's region must work (stale index would
 	// return nothing or wrong candidates).
-	got := bm.GhostRanks(nil, geom.V(5.5, 5.5, 0.005), 0.5, dst[0])
+	got := ghostView(bm).GhostRanks(nil, geom.V(5.5, 5.5, 0.005), 0.5, dst[0])
 	if len(got) == 0 {
 		t.Error("stale index: no ghosts found in relocated cloud")
 	}

@@ -46,8 +46,7 @@ type ElementMapper struct {
 	Mesh   *mesh.Mesh
 	Decomp *mesh.Decomposition
 
-	owners *mesh.SphereOwners // lazy, for GhostRanks
-	views  []sphereGhostView  // cached GhostViews for parallel fills
+	views []GhostView // cached GhostViews
 }
 
 // NewElementMapper builds an element mapper over an existing decomposition.

@@ -17,7 +17,7 @@ func sortedCopy(s []int) []int {
 
 // ghostSetsViaTile runs one GhostRanksTile call over all particles and
 // splits the flat result back into per-particle sets.
-func ghostSetsViaTile(src TileGhostSource, pos []geom.Vec3, home []int, radius float64) [][]int {
+func ghostSetsViaTile(src GhostView, pos []geom.Vec3, home []int, radius float64) [][]int {
 	ids := make([]int32, len(pos))
 	for i := range ids {
 		ids[i] = int32(i)
@@ -33,9 +33,9 @@ func ghostSetsViaTile(src TileGhostSource, pos []geom.Vec3, home []int, radius f
 	return out
 }
 
-// TestGhostRanksTileMatchesScalar checks the TileGhostSource contract on
-// both native implementations and on the per-particle fallback adapter:
-// per-particle rank sets must equal the scalar GhostRanks sets exactly.
+// TestGhostRanksTileMatchesScalar checks the GhostView contract on both
+// view implementations: per-particle rank sets must equal the scalar
+// GhostRanks sets exactly.
 func TestGhostRanksTileMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1)), 10, 10, 1, 2)
@@ -60,28 +60,18 @@ func TestGhostRanksTileMatchesScalar(t *testing.T) {
 		}
 		radius := []float64{0, 0.02, 0.06}[trial%3]
 
-		sources := map[string]TileGhostSource{
+		for name, mapper := range map[string]interface {
+			Mapper
+			GhostSource
+		}{
 			"element": NewElementMapper(m, d),
-		}
-		bm := NewBinMapper(12, 0.03)
-		home := make([]int, np)
-		if err := bm.Assign(home, pos); err != nil {
-			t.Fatal(err)
-		}
-		sources["bin"] = bm
-		// The fallback adapter wraps a GhostSource hidden behind a plain
-		// interface so TileSource cannot find the native tile path.
-		sources["adapter"] = TileSource(plainGhostSource{gs: bm})
-
-		for name, src := range sources {
-			homes := home
-			if name == "element" {
-				homes = make([]int, np)
-				em := src.(*ElementMapper)
-				if err := em.Assign(homes, pos); err != nil {
-					t.Fatal(err)
-				}
+			"bin":     NewBinMapper(12, 0.03),
+		} {
+			homes := make([]int, np)
+			if err := mapper.Assign(homes, pos); err != nil {
+				t.Fatal(err)
 			}
+			src := ghostView(mapper)
 			got := ghostSetsViaTile(src, pos, homes, radius)
 			for i := range pos {
 				want := sortedCopy(src.GhostRanks(nil, pos[i], radius, homes[i]))
@@ -99,14 +89,6 @@ func TestGhostRanksTileMatchesScalar(t *testing.T) {
 	}
 }
 
-// plainGhostSource hides a tile-capable source behind the minimal
-// interface, forcing TileSource to install the fallback adapter.
-type plainGhostSource struct{ gs GhostSource }
-
-func (p plainGhostSource) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
-	return p.gs.GhostRanks(dst, pos, radius, home)
-}
-
 // TestBinGhostRanksNoAllocs pins the map→slice dedup rewrite of the scalar
 // bin ghost query: a warm query allocates nothing per call.
 func TestBinGhostRanksNoAllocs(t *testing.T) {
@@ -122,9 +104,10 @@ func TestBinGhostRanksNoAllocs(t *testing.T) {
 	}
 	dst := make([]int, 0, 16)
 	p := pos[0]
-	bm.GhostRanks(dst, p, 0.05, ranks[0]) // build index + warm scratch
+	view := ghostView(bm)
+	view.GhostRanks(dst, p, 0.05, ranks[0]) // warm scratch
 	allocs := testing.AllocsPerRun(100, func() {
-		dst = bm.GhostRanks(dst[:0], p, 0.05, ranks[0])
+		dst = view.GhostRanks(dst[:0], p, 0.05, ranks[0])
 	})
 	if allocs != 0 {
 		t.Fatalf("GhostRanks allocates %v times per op, want 0", allocs)

@@ -3,9 +3,10 @@
 # layout touches and writes the comparison to BENCH_pipeline.json —
 #
 #   fill    : paper-scale matrix fill (N_p = 599,257 on R = 8352 ranks),
-#             scalar vs tiled, for both bin and element mapping;
+#             the per-particle reference fill (the test oracle, "scalar") vs
+#             the production tiled fill, for both bin and element mapping;
 #   stream  : frames/sec through StreamConcurrent with the generator as the
-#             sink, scalar vs tiled;
+#             sink;
 #   fused   : wall time of one fused simulate→build→predict run;
 #   sweep   : a paper-scale capacity-planning sweep (24 configurations over
 #             ranks 1044–8352), shared-build engine vs the naive
@@ -43,7 +44,7 @@ echo "== fill (paper scale, scalar vs tiled; benchtime $BENCHTIME)"
 go test -run '^$' -bench 'PaperFill' -benchtime "$BENCHTIME" ./internal/core/ \
     | tee "$workdir/fill.txt" || fail "fill benchmarks failed"
 
-echo "== stream (StreamConcurrent frames/sec, scalar vs tiled)"
+echo "== stream (StreamConcurrent frames/sec)"
 go test -run '^$' -bench 'StreamConcurrent' -benchtime "$BENCHTIME" ./internal/pipeline/ \
     | tee "$workdir/stream.txt" || fail "stream benchmarks failed"
 
@@ -114,7 +115,6 @@ doc = {
         "element_tiled": ms(fill, "PaperFillElementTiled"),
     },
     "stream_frames_per_s": {
-        "scalar": round(stream["BenchmarkStreamConcurrentScalar"]["frames_per_s"], 2),
         "tiled": round(stream["BenchmarkStreamConcurrentTiled"]["frames_per_s"], 2),
     },
     "fused_run_ms": ms(fused, "FusedPipeline"),
@@ -157,7 +157,6 @@ sw = doc["sweep_configs_per_s"]
 doc["speedup"] = {
     "fill_bin": round(f["bin_scalar"] / f["bin_tiled"], 2),
     "fill_element": round(f["element_scalar"] / f["element_tiled"], 2),
-    "stream": round(s["tiled"] / s["scalar"], 2),
     "sweep_shared_build": round(sw["shared_build"] / sw["naive"], 2),
 }
 with open(out, "w") as fh:
@@ -167,8 +166,7 @@ print(f"   fill bin    : {f['bin_scalar']:.0f} -> {f['bin_tiled']:.0f} ms "
       f"({doc['speedup']['fill_bin']}x)")
 print(f"   fill element: {f['element_scalar']:.0f} -> {f['element_tiled']:.0f} ms "
       f"({doc['speedup']['fill_element']}x)")
-print(f"   stream      : {s['scalar']:.2f} -> {s['tiled']:.2f} frames/s "
-      f"({doc['speedup']['stream']}x)")
+print(f"   stream      : {s['tiled']:.2f} frames/s")
 print(f"   fused run   : {doc['fused_run_ms']:.0f} ms")
 print(f"   sweep       : {sw['naive']:.3f} -> {sw['shared_build']:.3f} configs/s "
       f"({doc['speedup']['sweep_shared_build']}x)")
