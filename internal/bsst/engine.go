@@ -161,6 +161,8 @@ func (p *Platform) Simulate(wl *core.Workload) (*Prediction, error) {
 	pointsPerElem := p.N * p.N * p.N
 	var migScratch []migEntry
 	migBytes := 0.0
+	rc := p.newRankCompute(wl, sampleEvery)
+	compute := make([]float64, ranks)
 	clock := 0.0
 	var q eventQueue
 	seq := 0
@@ -202,21 +204,12 @@ func (p *Platform) Simulate(wl *core.Workload) (*Prediction, error) {
 		}
 
 		q = q[:0]
-		computeEnd := make([]float64, ranks)
-		var maxCompute float64
-		for r := 0; r < ranks; r++ {
-			np, ngp := frameCounts(wl, r, k)
-			it, err := p.IterTime(np, ngp, ranks)
-			if err != nil {
-				return nil, err
-			}
-			c := float64(sampleEvery) * it
-			computeEnd[r] = clock + c
-			pred.RankBusy[r] += c
-			if c > maxCompute {
-				maxCompute = c
-			}
-			push(computeEnd[r], evComputeDone, r, false)
+		maxCompute, err := rc.frame(k, compute, pred.RankBusy)
+		if err != nil {
+			return nil, err
+		}
+		for r, c := range compute {
+			push(clock+c, evComputeDone, r, false)
 		}
 		// baseEnd is the barrier ignoring migration arrivals; intervalEnd
 		// includes them. Their difference is the interval's migration cost.
@@ -281,35 +274,28 @@ func (p *Platform) SimulateBSP(wl *core.Workload) (*Prediction, error) {
 	pointsPerElem := p.N * p.N * p.N
 	var migScratch []migEntry
 	migBytes := 0.0
+	rc := p.newRankCompute(wl, sampleEvery)
 	compute := make([]float64, ranks)
 	for k := 0; k < wl.RealComp.Frames(); k++ {
 		m.begin()
-		var maxCompute float64
-		for r := 0; r < ranks; r++ {
-			np, ngp := frameCounts(wl, r, k)
-			it, err := p.IterTime(np, ngp, ranks)
-			if err != nil {
-				return nil, err
-			}
-			compute[r] = float64(sampleEvery) * it
-			pred.RankBusy[r] += compute[r]
-			if compute[r] > maxCompute {
-				maxCompute = compute[r]
-			}
+		maxCompute, err := rc.frame(k, compute, pred.RankBusy)
+		if err != nil {
+			return nil, err
 		}
+		// A max is exact and order-independent, so the comm loops visit
+		// the matrices unsorted.
 		base := maxCompute
-		for _, e := range wl.RealComm.At(k).Entries() {
-			if t := compute[e.Src] + p.Machine.transferTime(e.Count); t > base {
+		wl.RealComm.At(k).Each(func(src, _ int, count int64) {
+			if t := compute[src] + p.Machine.transferTime(count); t > base {
 				base = t
 			}
-		}
+		})
 		if wl.GhostComm != nil {
-			for _, e := range wl.GhostComm.At(k).Entries() {
-				t := compute[e.Src] + float64(sampleEvery)*p.Machine.transferTime(e.Count)
-				if t > base {
+			wl.GhostComm.At(k).Each(func(src, _ int, count int64) {
+				if t := compute[src] + float64(sampleEvery)*p.Machine.transferTime(count); t > base {
 					base = t
 				}
-			}
+			})
 		}
 		// Migration messages extend the barrier past the compute+comm base;
 		// the excess is the interval's priced rebalance cost.

@@ -77,6 +77,47 @@ func (p *Platform) IterTime(np, ngp int64, ranks int) (float64, error) {
 	return t, nil
 }
 
+// rankCompute prices every rank's compute time per sampling interval for
+// one simulation: SampleEvery × IterTime(np, ngp). Both engines use it. The
+// rank count is fixed within a simulation, so IterTime depends on (np, ngp)
+// alone and is memoized by them — large-R workloads have far fewer distinct
+// per-rank inputs than rank×interval cells, most ranks being empty.
+type rankCompute struct {
+	p     *Platform
+	wl    *core.Workload
+	scale float64
+	memo  map[[2]int64]float64
+}
+
+func (p *Platform) newRankCompute(wl *core.Workload, sampleEvery int) *rankCompute {
+	return &rankCompute{p: p, wl: wl, scale: float64(sampleEvery), memo: make(map[[2]int64]float64)}
+}
+
+// frame writes each rank's compute time of interval k into compute (one
+// entry per rank), adds it to busy, and returns the interval's maximum.
+func (c *rankCompute) frame(k int, compute, busy []float64) (float64, error) {
+	var maxCompute float64
+	for r := range compute {
+		np, ngp := frameCounts(c.wl, r, k)
+		key := [2]int64{np, ngp}
+		it, ok := c.memo[key]
+		if !ok {
+			var err error
+			if it, err = c.p.IterTime(np, ngp, c.wl.Ranks); err != nil {
+				return 0, err
+			}
+			c.memo[key] = it
+		}
+		v := c.scale * it
+		compute[r] = v
+		busy[r] += v
+		if v > maxCompute {
+			maxCompute = v
+		}
+	}
+	return maxCompute, nil
+}
+
 // KernelTime predicts one kernel's per-iteration time for a rank workload.
 func (p *Platform) KernelTime(name string, np, ngp int64, ranks int) (float64, error) {
 	w := p.workloadAt(np, ngp, ranks)

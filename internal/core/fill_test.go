@@ -407,6 +407,10 @@ func TestFillMatchesReference(t *testing.T) {
 		// wantEpoch: the mapper must rebalance after the first frame, so
 		// the row compares fills across an epoch swap.
 		wantEpoch bool
+		// wantFlush: some frame must move and copy particles between more
+		// distinct rank pairs than two full pair tallies hold, so with one
+		// or two tile ranges a tally flushes mid-range.
+		wantFlush bool
 	}
 	m, _ := fillTestMesh(t)
 	mappers := []fillTestMapper{
@@ -423,7 +427,7 @@ func TestFillMatchesReference(t *testing.T) {
 		for _, radius := range []float64{0, 0.04} {
 			for _, workers := range []int{1, 2, 3, 8} {
 				cases = append(cases, fillCase{fmt.Sprintf("%s/r=%g/w=%d", mp.name, radius, workers), mp, radius, workers, iters, pos, np,
-					mp.name == "element+threshold"})
+					mp.name == "element+threshold", false})
 			}
 		}
 	}
@@ -432,17 +436,27 @@ func TestFillMatchesReference(t *testing.T) {
 	emptyIters, _ := clusteredFrames(3, 0, 1)
 	tinyIters, tinyPos := clusteredFrames(4, 3, 7)
 	for _, mp := range mappers {
-		cases = append(cases, fillCase{"zero-particles/" + mp.name, mp, 0.04, 4, emptyIters, nil, 0, false})
+		cases = append(cases, fillCase{"zero-particles/" + mp.name, mp, 0.04, 4, emptyIters, nil, 0, false, false})
 		for _, workers := range []int{8, 16} {
-			cases = append(cases, fillCase{fmt.Sprintf("workers-exceed-particles/%s/w=%d", mp.name, workers), mp, 0.04, workers, tinyIters, tinyPos, 3, false})
+			cases = append(cases, fillCase{fmt.Sprintf("workers-exceed-particles/%s/w=%d", mp.name, workers), mp, 0.04, workers, tinyIters, tinyPos, 3, false, false})
 		}
 	}
 
 	for _, tr := range randomFillTrials() {
 		for _, mp := range mappers {
 			cases = append(cases, fillCase{fmt.Sprintf("%s/%s/np=%d/r=%g/w=%d", tr.name, mp.name, tr.np, tr.radius, tr.workers),
-				mp, tr.radius, tr.workers, tr.iters, tr.pos, tr.np, false})
+				mp, tr.radius, tr.workers, tr.iters, tr.pos, tr.np, false, false})
 		}
+	}
+
+	// Mid-range flush: a thousand small bins under a filter several bins
+	// wide give each tile range more distinct rank pairs than a tally
+	// holds.
+	manyBins := fillTestMapper{"bin-1024", func() mapping.Mapper { return mapping.NewBinMapper(1024, 0.005) }}
+	const flushNp = 3000
+	flushIters, flushPos := clusteredFrames(3, flushNp, 17)
+	for _, workers := range []int{1, 2} {
+		cases = append(cases, fillCase{fmt.Sprintf("mid-range-flush/w=%d", workers), manyBins, 0.1, workers, flushIters, flushPos, flushNp, false, true})
 	}
 
 	for _, tc := range cases {
@@ -450,6 +464,16 @@ func TestFillMatchesReference(t *testing.T) {
 			want := referenceWorkload(t, tc.mapper.mk(), tc.radius, 1, tc.iters, tc.pos, tc.np)
 			if tc.wantEpoch && (want.MigElemComm.At(0).Total() != 0 || want.MigElemComm.Aggregate().Total() == 0) {
 				t.Fatal("policy did not rebalance after the first frame: no epoch swap to compare")
+			}
+			if tc.wantFlush {
+				realPairs, ghostPairs := 0, 0
+				for k := 0; k < want.RealComm.Frames(); k++ {
+					realPairs = max(realPairs, want.RealComm.At(k).NumNonZero())
+					ghostPairs = max(ghostPairs, want.GhostComm.At(k).NumNonZero())
+				}
+				if realPairs <= 2*pairTallyFlushAt || ghostPairs <= 2*pairTallyFlushAt {
+					t.Fatalf("peak distinct pairs per frame: %d moved, %d ghost; want both > %d", realPairs, ghostPairs, 2*pairTallyFlushAt)
+				}
 			}
 			got := runGenerator(t, Config{Mapper: tc.mapper.mk(), FilterRadius: tc.radius, Workers: tc.workers}, tc.iters, tc.pos, tc.np)
 			requireEqualWorkloads(t, want, got)

@@ -278,40 +278,61 @@ func (g *Generator) fillFlat(comp []int64, comm *sparse.Matrix) error {
 // particles at realistic densities.
 const tileCellRadii = 2.0
 
-// pairTally accumulates one tile's (src, dst) → count pairs in parallel
-// slices before flushing them into the sparse matrix in one pass. A tile's
-// migrations and ghost copies hit very few distinct rank pairs, so the
-// linear-scan upsert replaces per-particle hash-map churn with a handful of
-// slice compares.
+// pairTally accumulates (src, dst) → count pairs in a fixed-size
+// open-addressed table before flushing them into the sparse matrix. The
+// fill's migrations and ghost copies hit few distinct rank pairs per tile,
+// so one multiplicative hash and a short probe replace per-copy hash-map
+// churn. A flush resets only the slots it touched, in insertion order.
 type pairTally struct {
-	src, dst []int32
-	n        []int64
+	keys [pairTallySlots]uint64 // src<<32 | dst
+	n    [pairTallySlots]int64  // 0 marks a free slot
+	used []uint16               // occupied slots, in insertion order
 }
 
-// pairTallyFlushAt bounds the upsert scan: a pathological tile spanning
-// many rank pairs flushes early instead of degrading quadratically.
-const pairTallyFlushAt = 128
+const (
+	// pairTallyFlushAt bounds the occupied slots: a tally this full
+	// flushes before taking another pair.
+	pairTallyFlushAt = 128
+	// pairTallySlots keeps the load factor at or below 25 %.
+	pairTallySlots = 4 * pairTallyFlushAt
+	pairTallyBits  = 9 // log2(pairTallySlots)
+)
 
-func (t *pairTally) add(src, dst int) {
-	for i, s := range t.src {
-		if s == int32(src) && t.dst[i] == int32(dst) {
-			t.n[i]++
-			return
-		}
-	}
-	t.src = append(t.src, int32(src))
-	t.dst = append(t.dst, int32(dst))
-	t.n = append(t.n, 1)
-}
-
-func (t *pairTally) flush(m *sparse.Matrix) error {
-	for i := range t.src {
-		if err := m.Add(int(t.src[i]), int(t.dst[i]), t.n[i]); err != nil {
+// add counts one (src, dst) pair, flushing the tally into m first when it
+// is full.
+func (t *pairTally) add(src, dst int, m *sparse.Matrix) error {
+	if len(t.used) >= pairTallyFlushAt {
+		if err := t.flush(m); err != nil {
 			return err
 		}
 	}
-	t.src, t.dst, t.n = t.src[:0], t.dst[:0], t.n[:0]
+	k := uint64(src)<<32 | uint64(uint32(dst))
+	i := (k * 0x9E3779B97F4A7C15) >> (64 - pairTallyBits)
+	for t.n[i] != 0 {
+		if t.keys[i] == k {
+			t.n[i]++
+			return nil
+		}
+		i = (i + 1) & (pairTallySlots - 1)
+	}
+	t.keys[i], t.n[i] = k, 1
+	t.used = append(t.used, uint16(i))
 	return nil
+}
+
+// flush adds every tallied pair to m and empties the tally, even when m
+// rejects a pair.
+func (t *pairTally) flush(m *sparse.Matrix) error {
+	var err error
+	for _, i := range t.used {
+		if err == nil {
+			k := t.keys[i]
+			err = m.Add(int(k>>32), int(uint32(k)), t.n[i])
+		}
+		t.n[i] = 0
+	}
+	t.used = t.used[:0]
+	return err
 }
 
 // fillPart is one worker's working set of the tiled fill: the batched
@@ -362,18 +383,10 @@ func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, 
 			comp[r]++
 			if withComm {
 				if pr := g.prev[i]; pr != r {
-					p.commPairs.add(pr, r)
-					if len(p.commPairs.src) >= pairTallyFlushAt {
-						if err := p.commPairs.flush(comm); err != nil {
-							return err
-						}
+					if err := p.commPairs.add(pr, r, comm); err != nil {
+						return err
 					}
 				}
-			}
-		}
-		if withComm {
-			if err := p.commPairs.flush(comm); err != nil {
-				return err
 			}
 		}
 		p.flat, p.offs = view.GhostRanksTile(p.flat[:0], p.offs[:0], ids, pos, g.cur, radius)
@@ -383,20 +396,17 @@ func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, 
 			home := g.cur[i]
 			for _, r := range p.flat[prev:end] {
 				gcomp[r]++
-				p.ghostPairs.add(home, r)
-			}
-			prev = end
-			if len(p.ghostPairs.src) >= pairTallyFlushAt {
-				if err := p.ghostPairs.flush(gcomm); err != nil {
+				if err := p.ghostPairs.add(home, r, gcomm); err != nil {
 					return err
 				}
 			}
-		}
-		if err := p.ghostPairs.flush(gcomm); err != nil {
-			return err
+			prev = end
 		}
 	}
-	return nil
+	if err := p.commPairs.flush(comm); err != nil {
+		return err
+	}
+	return p.ghostPairs.flush(gcomm)
 }
 
 // fillTiled is the fill when ghost queries are active. It groups the

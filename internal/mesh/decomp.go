@@ -30,55 +30,7 @@ func Decompose(m *Mesh, ranks int) (*Decomposition, error) {
 	if ranks <= 0 {
 		return nil, fmt.Errorf("mesh: rank count must be positive, got %d", ranks)
 	}
-	n := m.NumElements()
-	d := &Decomposition{
-		Ranks:      ranks,
-		Owner:      make([]int, n),
-		ElementsOf: make([][]int, ranks),
-		boxes:      make([]geom.AABB, ranks),
-	}
-	elems := make([]int, n)
-	for i := range elems {
-		elems[i] = i
-	}
-	centers := make([]geom.Vec3, n)
-	for i := range centers {
-		centers[i] = m.Elements.CellCenter(i)
-	}
-	bisect(m, elems, centers, 0, ranks, d.Owner)
-	d.finish(m)
-	return d, nil
-}
-
-// bisect assigns ranks [rank0, rank0+nranks) to the given element subset.
-func bisect(m *Mesh, elems []int, centers []geom.Vec3, rank0, nranks int, owner []int) {
-	if nranks == 1 || len(elems) == 0 {
-		for _, e := range elems {
-			owner[e] = rank0
-		}
-		return
-	}
-	// Bounding box of the subset's element centers picks the cut axis.
-	box := geom.EmptyBox()
-	for _, e := range elems {
-		box = box.Extend(centers[e])
-	}
-	axis := box.LongestAxis()
-	sort.Slice(elems, func(a, b int) bool {
-		ca, cb := centers[elems[a]].Axis(axis), centers[elems[b]].Axis(axis)
-		//lint:allow floatcmp exact comparison keeps the sort a strict total order; the index tie-break below handles equal centers
-		if ca != cb {
-			return ca < cb
-		}
-		return elems[a] < elems[b] // deterministic tie-break
-	})
-	loRanks := nranks / 2
-	hiRanks := nranks - loRanks
-	// Split elements proportionally to the rank counts so uneven rank
-	// splits (odd R) still balance element counts per rank.
-	cut := len(elems) * loRanks / nranks
-	bisect(m, elems[:cut], centers, rank0, loRanks, owner)
-	bisect(m, elems[cut:], centers, rank0+loRanks, hiRanks, owner)
+	return bisectMesh(m, ranks, nil), nil
 }
 
 // DecomposeWeighted distributes the mesh elements across ranks with the
@@ -101,80 +53,142 @@ func DecomposeWeighted(m *Mesh, ranks int, weights []float64) (*Decomposition, e
 			return nil, fmt.Errorf("mesh: element %d has negative weight %g", e, w)
 		}
 	}
+	return bisectMesh(m, ranks, weights), nil
+}
+
+// bisectMesh runs the recursive bisection of every element of m over ranks
+// ranks, weighted when weights is non-nil.
+//
+// Each subset is carried as three orders of its elements, one per axis,
+// sorted by (centre coordinate, id). That is a total order, so a subset's
+// order along an axis is the restriction of the mesh-wide order, and a cut
+// leaves each side's orders as the stable partition of the parent's: one
+// presort per mesh plus O(n) per level replaces a full sort per subset,
+// and walks the cut axis in exactly the order the sort would produce.
+func bisectMesh(m *Mesh, ranks int, weights []float64) *Decomposition {
+	n := m.NumElements()
 	d := &Decomposition{
 		Ranks:      ranks,
 		Owner:      make([]int, n),
 		ElementsOf: make([][]int, ranks),
 		boxes:      make([]geom.AABB, ranks),
 	}
-	elems := make([]int, n)
-	for i := range elems {
-		elems[i] = i
+	shared := m.axisOrders()
+	b := &bisection{
+		m:       m,
+		weights: weights,
+		owner:   d.Owner,
+		lo:      make([]bool, n),
+		scratch: make([]int32, n),
 	}
-	centers := make([]geom.Vec3, n)
-	for i := range centers {
-		centers[i] = m.Elements.CellCenter(i)
+	var ord [3][]int32
+	for a := range ord {
+		ord[a] = append([]int32(nil), shared[a]...)
 	}
-	bisectWeighted(m, elems, centers, weights, 0, ranks, d.Owner)
+	b.split(ord, 0, ranks)
 	d.finish(m)
-	return d, nil
+	return d
 }
 
-// bisectWeighted assigns ranks [rank0, rank0+nranks) to the element subset,
-// cutting where the prefix weight crosses the lo-side's proportional share.
-// The sort discipline is identical to bisect, so equal-weight inputs produce
-// bit-identical owners to the unweighted path.
-func bisectWeighted(m *Mesh, elems []int, centers []geom.Vec3, weights []float64, rank0, nranks int, owner []int) {
-	if nranks == 1 || len(elems) == 0 {
-		for _, e := range elems {
-			owner[e] = rank0
+// bisection is the working state of one bisectMesh call.
+type bisection struct {
+	m       *Mesh
+	weights []float64 // nil: count-proportional cuts
+	owner   []int
+	lo      []bool  // marks the lo side of the cut being partitioned
+	scratch []int32 // partition buffer, reused at every level
+}
+
+// split assigns ranks [rank0, rank0+nranks) to the element subset whose
+// per-axis orders are ord, permuting ord in place.
+func (b *bisection) split(ord [3][]int32, rank0, nranks int) {
+	n := len(ord[0])
+	if nranks == 1 || n == 0 {
+		for _, e := range ord[0] {
+			b.owner[e] = rank0
 		}
 		return
 	}
-	box := geom.EmptyBox()
-	for _, e := range elems {
-		box = box.Extend(centers[e])
+	// The subset's bounding box of element centres picks the cut axis; its
+	// extremes along each axis are the ends of that axis's order.
+	var lo, hi [3]float64
+	for a := range ord {
+		lo[a] = b.m.Elements.CellCenter(int(ord[a][0])).Axis(a)
+		hi[a] = b.m.Elements.CellCenter(int(ord[a][n-1])).Axis(a)
 	}
+	box := geom.AABB{Lo: geom.V(lo[0], lo[1], lo[2]), Hi: geom.V(hi[0], hi[1], hi[2])}
 	axis := box.LongestAxis()
-	sort.Slice(elems, func(a, b int) bool {
-		ca, cb := centers[elems[a]].Axis(axis), centers[elems[b]].Axis(axis)
-		//lint:allow floatcmp exact comparison keeps the sort a strict total order; the index tie-break below handles equal centers
-		if ca != cb {
-			return ca < cb
-		}
-		return elems[a] < elems[b] // deterministic tie-break
-	})
+	line := ord[axis]
+
 	loRanks := nranks / 2
 	hiRanks := nranks - loRanks
-	total := 0.0
-	for _, e := range elems {
-		total += weights[e]
-	}
-	var cut int
-	if total <= 0 {
-		// Weightless subset: fall back to the count-proportional cut.
-		cut = len(elems) * loRanks / nranks
-	} else {
-		// Largest prefix whose weight stays within the lo-side share — the
-		// ≤ (not <) keeps equal weights on the count cut's floor semantics,
-		// so the equal-weight case is bit-identical to bisect. The prefix is
-		// accumulated in sorted order, so the cut is deterministic.
-		target := total * float64(loRanks) / float64(nranks)
-		prefix := 0.0
-		for cut < len(elems) && prefix+weights[elems[cut]] <= target {
-			prefix += weights[elems[cut]]
-			cut++
+	// Split elements proportionally to the rank counts so uneven rank
+	// splits (odd R) still balance element counts per rank.
+	cut := n * loRanks / nranks
+	if b.weights != nil {
+		total := 0.0
+		for _, e := range line {
+			total += b.weights[e]
 		}
-		// A single over-target element at the cut must not starve the lo
-		// ranks of a subset big enough to feed them; hand it over rather
-		// than recursing on an empty side. (Unreachable with equal weights:
-		// a positive count cut implies the first element fits the target.)
-		if cut == 0 && len(elems)*loRanks/nranks > 0 {
-			cut = 1
+		// A weightless subset keeps the count-proportional cut.
+		if total > 0 {
+			// Largest prefix whose weight stays within the lo-side share —
+			// the ≤ (not <) keeps equal weights on the count cut's floor
+			// semantics, so equal weights reproduce Decompose bit for bit.
+			// The prefix accumulates in axis order, so the cut is
+			// deterministic.
+			target := total * float64(loRanks) / float64(nranks)
+			prefix := 0.0
+			cut = 0
+			for cut < n && prefix+b.weights[line[cut]] <= target {
+				prefix += b.weights[line[cut]]
+				cut++
+			}
+			// A single over-target element at the cut must not starve the
+			// lo ranks of a subset big enough to feed them; hand it over
+			// rather than recursing on an empty side. (Unreachable with
+			// equal weights: a positive count cut implies the first element
+			// fits the target.)
+			if cut == 0 && n*loRanks/nranks > 0 {
+				cut = 1
+			}
 		}
 	}
-	bisectWeighted(m, elems[:cut], centers, weights, rank0, loRanks, owner)
-	bisectWeighted(m, elems[cut:], centers, weights, rank0+loRanks, hiRanks, owner)
+
+	for _, e := range line[:cut] {
+		b.lo[e] = true
+	}
+	for a := range ord {
+		if a != axis {
+			b.partition(ord[a], cut)
+		}
+	}
+	for _, e := range line[:cut] {
+		b.lo[e] = false
+	}
+	var loOrd, hiOrd [3][]int32
+	for a := range ord {
+		loOrd[a], hiOrd[a] = ord[a][:cut], ord[a][cut:]
+	}
+	b.split(loOrd, rank0, loRanks)
+	b.split(hiOrd, rank0+loRanks, hiRanks)
+}
+
+// partition stably moves the lo-marked elements of o, cut of them, to its
+// front.
+func (b *bisection) partition(o []int32, cut int) {
+	buf := b.scratch[:len(o)]
+	lo, hi := 0, cut
+	for _, e := range o {
+		if b.lo[e] {
+			buf[lo] = e
+			lo++
+		} else {
+			buf[hi] = e
+			hi++
+		}
+	}
+	copy(o, buf)
 }
 
 // FromOwner rebuilds a full Decomposition (per-rank element lists and

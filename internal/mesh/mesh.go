@@ -11,6 +11,8 @@ package mesh
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
 	"picpredict/internal/geom"
 )
@@ -22,6 +24,12 @@ type Mesh struct {
 	// N is the grid resolution within one element: each element holds
 	// N×N×N grid points.
 	N int
+
+	// orders[a] lists every element id sorted by (centre coordinate along
+	// axis a, id), built once on first use by the recursive bisection. It
+	// lives with the mesh so it is freed with it.
+	ordersOnce sync.Once
+	orders     [3][]int32
 }
 
 // New constructs a mesh with ex×ey×ez spectral elements over domain, each
@@ -60,4 +68,33 @@ func (m *Mesh) ElementBox(id int) geom.AABB { return m.Elements.CellBox(id) }
 // projection-filter support.
 func (m *Mesh) ElementsInSphere(dst []int, c geom.Vec3, radius float64) []int {
 	return m.Elements.CellsInSphere(dst, c, radius)
+}
+
+// axisOrders returns, for each axis, the element ids sorted by (centre
+// coordinate along that axis, id). The orders are computed once per mesh and
+// shared read-only by every bisection of it; callers copy before permuting.
+func (m *Mesh) axisOrders() *[3][]int32 {
+	m.ordersOnce.Do(func() {
+		n := m.NumElements()
+		centers := make([]geom.Vec3, n)
+		for i := range centers {
+			centers[i] = m.Elements.CellCenter(i)
+		}
+		for a := range m.orders {
+			o := make([]int32, n)
+			for i := range o {
+				o[i] = int32(i)
+			}
+			sort.Slice(o, func(x, y int) bool {
+				cx, cy := centers[o[x]].Axis(a), centers[o[y]].Axis(a)
+				//lint:allow floatcmp exact comparison keeps the presort a strict total order; the index tie-break below handles equal centres
+				if cx != cy {
+					return cx < cy
+				}
+				return o[x] < o[y]
+			})
+			m.orders[a] = o
+		}
+	})
+	return &m.orders
 }

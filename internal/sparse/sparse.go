@@ -40,11 +40,18 @@ func (m *Matrix) Add(src, dst int, n int64) error {
 	if err != nil {
 		return err
 	}
-	m.m[k] += n
-	if m.m[k] == 0 {
+	m.upsert(k, n)
+	return nil
+}
+
+// upsert adds n to entry k with one lookup and one write, deleting the
+// entry when the sum cancels to zero.
+func (m *Matrix) upsert(k uint64, n int64) {
+	if v := m.m[k] + n; v != 0 {
+		m.m[k] = v
+	} else {
 		delete(m.m, k)
 	}
-	return nil
 }
 
 // Reset clears every entry, keeping the allocated bucket storage so the
@@ -96,6 +103,15 @@ func (m *Matrix) Entries() []Entry {
 	return es
 }
 
+// Each calls fn on every non-zero entry in unspecified order — the
+// traversal for order-independent folds (a max, an integer sum) that do not
+// need the sort Entries pays for.
+func (m *Matrix) Each(fn func(src, dst int, count int64)) {
+	for k, v := range m.m {
+		fn(int(k>>32), int(uint32(k)), v)
+	}
+}
+
 // RowSum returns the total outgoing count of rank src.
 func (m *Matrix) RowSum(src int) int64 {
 	var t int64
@@ -124,10 +140,7 @@ func (m *Matrix) AddInto(dst *Matrix) error {
 		return fmt.Errorf("sparse: dimension mismatch %d vs %d", dst.ranks, m.ranks)
 	}
 	for k, v := range m.m {
-		dst.m[k] += v
-		if dst.m[k] == 0 {
-			delete(dst.m, k)
-		}
+		dst.upsert(k, v)
 	}
 	return nil
 }

@@ -36,12 +36,61 @@ func TestAddBounds(t *testing.T) {
 	}
 }
 
+// An entry driven back to zero, by Add or by AddInto, leaves the matrix:
+// no traversal may report it.
 func TestZeroEntriesPruned(t *testing.T) {
-	m := NewMatrix(4)
-	_ = m.Add(0, 1, 5)
-	_ = m.Add(0, 1, -5)
-	if m.NumNonZero() != 0 {
-		t.Errorf("NumNonZero = %d after cancelling, want 0", m.NumNonZero())
+	requireOnly := func(t *testing.T, m *Matrix, want Entry) {
+		t.Helper()
+		if m.NumNonZero() != 1 {
+			t.Errorf("NumNonZero = %d after cancelling, want 1", m.NumNonZero())
+		}
+		if es := m.Entries(); len(es) != 1 || es[0] != want {
+			t.Errorf("Entries = %v, want [%v]", es, want)
+		}
+		var seen []Entry
+		m.Each(func(src, dst int, n int64) { seen = append(seen, Entry{src, dst, n}) })
+		if len(seen) != 1 || seen[0] != want {
+			t.Errorf("Each visited %v, want [%v]", seen, want)
+		}
+	}
+	t.Run("Add", func(t *testing.T) {
+		m := NewMatrix(4)
+		_ = m.Add(0, 1, 5)
+		_ = m.Add(2, 3, 1)
+		_ = m.Add(0, 1, -5)
+		requireOnly(t, m, Entry{2, 3, 1})
+	})
+	t.Run("AddInto", func(t *testing.T) {
+		dst, src := NewMatrix(4), NewMatrix(4)
+		_ = dst.Add(0, 1, 5)
+		_ = dst.Add(2, 3, 1)
+		_ = src.Add(0, 1, -5)
+		if err := src.AddInto(dst); err != nil {
+			t.Fatal(err)
+		}
+		requireOnly(t, dst, Entry{2, 3, 1})
+	})
+}
+
+// Each visits exactly the entries Entries lists, each once.
+func TestEachMatchesEntries(t *testing.T) {
+	m := NewMatrix(16)
+	for i := 0; i < 40; i++ {
+		_ = m.Add(i*7%16, i*5%16, int64(i%3+1))
+	}
+	want := map[Entry]bool{}
+	for _, e := range m.Entries() {
+		want[e] = true
+	}
+	n := 0
+	m.Each(func(src, dst int, count int64) {
+		n++
+		if !want[Entry{src, dst, count}] {
+			t.Errorf("Each visited (%d,%d)=%d, not an entry", src, dst, count)
+		}
+	})
+	if n != len(want) {
+		t.Errorf("Each visited %d entries, want %d", n, len(want))
 	}
 }
 
