@@ -375,8 +375,9 @@ type QueryOptions struct {
 // workload generation plus one BSP replay for a single configuration over a
 // trace that is already in memory. The trace is only read, and trained
 // Models are immutable after fitting, so any number of PredictFromTrace
-// calls may run concurrently over the same trace and models — the property
-// the serving layer's worker pool relies on.
+// calls may run concurrently over the same trace and models. picserve does
+// not call it on its hot path: it resolves the workload through its build
+// cache and calls PredictWorkload, so a repeated query skips generation.
 func PredictFromTrace(ctx context.Context, tr *Trace, models Models, q QueryOptions) (*Workload, *Prediction, error) {
 	wl, err := tr.GenerateWorkloadContext(obs.With(ctx, q.Obs), q.Workload)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"picpredict"
 	"picpredict/internal/obs"
 	"picpredict/internal/serve"
 )
@@ -398,6 +399,51 @@ func TestGatePassesThroughClientErrors(t *testing.T) {
 	var eb errorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" || eb.RequestID == "" {
 		t.Fatalf("error body %s not structured (err %v)", body, err)
+	}
+}
+
+// TestGateOversizeRequestIsDefinitive: a real shard's 413 for a rank count
+// it cannot afford settles the request at the gate — one attempt, no replay
+// of the poison body to the other replicas.
+func TestGateOversizeRequestIsDefinitive(t *testing.T) {
+	tr, err := picpredict.HeleShaw().WithParticles(120).WithSteps(20).WithSampleEvery(5).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var attempts atomic.Int64
+	backends := make([]string, 3)
+	for i := range backends {
+		s := serve.New(serve.Config{Workers: 1})
+		t.Cleanup(s.Close)
+		if err := s.AddTrace("heleshaw", tr, "0xgatetrace"); err != nil {
+			t.Fatal(err)
+		}
+		s.MarkReady()
+		h := s.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/predict" {
+				attempts.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		backends[i] = strings.TrimPrefix(srv.URL, "http://")
+	}
+	cfg := fastTestConfig()
+	cfg.Backends = backends
+	cfg.Replicas = 3
+	g, front := newTestGate(t, cfg)
+
+	resp := postPredict(t, front.URL, []byte(`{"scenario":"heleshaw","ranks":[300000000],"model":{"fast":true}}`), nil)
+	body := drainClose(t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize predict through the gate: %d (%s), want 413", resp.StatusCode, body)
+	}
+	if n := attempts.Load(); n != 1 {
+		t.Errorf("%d shard attempts, want 1 — a 413 must not be replayed", n)
+	}
+	if v := g.reg.Counter(obs.GateRetries).Value(); v != 0 {
+		t.Errorf("gate.retries = %d, want 0", v)
 	}
 }
 

@@ -44,6 +44,19 @@ const (
 	// ServeTrainNs times registry training runs — one observation per
 	// cache miss that ran the Model Generator.
 	ServeTrainNs = "serve.model_train_ns"
+
+	// ServeBuildCacheHits counts workload lookups answered by a resident
+	// (ready or in-flight) build-cache entry, so no new generator run.
+	ServeBuildCacheHits = "serve.build_cache.hits"
+	// ServeBuildCacheMisses counts workload lookups that ran the Dynamic
+	// Workload Generator: first sightings built for the request alone and
+	// admitted keys built into the cache.
+	ServeBuildCacheMisses = "serve.build_cache.misses"
+	// ServeBuildCacheEvictions counts LRU evictions under the byte budget.
+	ServeBuildCacheEvictions = "serve.build_cache.evictions"
+	// ServeBuildCacheBytes is a gauge, moved by signed Adds: the estimated
+	// heap of the workloads the build cache holds right now.
+	ServeBuildCacheBytes = "serve.build_cache.bytes"
 )
 
 // Canonical metric names of the capacity-planning sweep engine

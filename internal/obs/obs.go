@@ -128,7 +128,8 @@ func (r *Registry) Stages() []Stage {
 	return append([]Stage(nil), r.stages...)
 }
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is an atomic counter. It only grows unless its name documents it
+// as a gauge moved by signed Adds.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by d. Nil-safe.

@@ -175,6 +175,17 @@ func (s Spec) String() string {
 	}
 }
 
+// Canonical returns the one spelling every consumer keys a policy by: ""
+// for none (so documents that omit the field stay unchanged) and
+// Spec.String otherwise. Errors are ParseSpec's.
+func Canonical(spec string) (string, error) {
+	s, err := ParseSpec(spec)
+	if err != nil || s.None() {
+		return "", err
+	}
+	return s.String(), nil
+}
+
 // None reports whether the spec selects no rebalancing (static mapping).
 func (s Spec) None() bool { return s.Kind == "" || s.Kind == KindNone }
 

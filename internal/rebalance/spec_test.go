@@ -21,6 +21,26 @@ func TestParseSpecNone(t *testing.T) {
 	}
 }
 
+// TestCanonical pins the one spelling policies are keyed by: none as "",
+// parameters shortest-form, errors as ParseSpec's.
+func TestCanonical(t *testing.T) {
+	for in, want := range map[string]string{
+		"":               "",
+		"none":           "",
+		" none ":         "",
+		"periodic:04":    "periodic:4",
+		"threshold:1.50": "threshold:1.5",
+		"diffusion:1.2":  "diffusion:1.2/3",
+	} {
+		if got, err := Canonical(in); err != nil || got != want {
+			t.Errorf("Canonical(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	if _, err := Canonical("bogus:1"); !errors.Is(err, ErrSpec) {
+		t.Errorf("Canonical(bogus:1) error %v, want ErrSpec", err)
+	}
+}
+
 func TestParseSpecForms(t *testing.T) {
 	cases := []struct {
 		in    string

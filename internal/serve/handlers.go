@@ -9,8 +9,8 @@ import (
 	"sort"
 
 	"picpredict"
-	"picpredict/internal/cli"
 	"picpredict/internal/obs"
+	"picpredict/internal/rebalance"
 )
 
 // PredictRequest is the /v1/predict body. Ranks is the only required
@@ -93,10 +93,14 @@ type PredictResult struct {
 
 // PredictResponse is the /v1/predict response body.
 type PredictResponse struct {
-	Scenario string          `json:"scenario"`
-	ModelKey ModelKey        `json:"model_key"`
-	Cache    string          `json:"cache"` // "hit" or "miss"
-	Results  []PredictResult `json:"results"`
+	Scenario string   `json:"scenario"`
+	ModelKey ModelKey `json:"model_key"`
+	Cache    string   `json:"cache"` // "hit" or "miss"
+	// Build says whether the request paid for a workload build: "hit" when
+	// the build cache answered every rank count, "miss" when any ran the
+	// generator. Workload replays never build and always report "hit".
+	Build   string          `json:"build"`
+	Results []PredictResult `json:"results"`
 }
 
 // errorBody is every non-200 JSON payload. RequestID carries the
@@ -159,12 +163,13 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"capacity": s.cfg.ModelCapacity,
 		"models":   s.registry.Entries(),
+		"builds":   s.builds.info(),
 	})
 }
 
 // handlePredict is the serving hot path: admission control, per-request
-// deadline, model registry lookup (training on miss), then one workload
-// generation + BSP replay per requested rank count.
+// deadline, model registry lookup (training on miss), then one build-cache
+// lookup (generating on miss) + BSP replay per requested rank count.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.runAdmitted(w, r, func(ctx context.Context) (any, int, error) {
 		var req PredictRequest
@@ -293,16 +298,19 @@ func (s *Server) predictTrace(ctx context.Context, req *PredictRequest, kind pic
 		if r <= 0 {
 			return nil, http.StatusBadRequest, fmt.Errorf("rank count %d is not positive", r)
 		}
+		if err := affordable(art, r); err != nil {
+			return nil, http.StatusRequestEntityTooLarge, err
+		}
 	}
 	mapping, err := picpredict.ParseMappingKind(req.Mapping)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	rebal, err := cli.ParseRebalance("rebalance", req.Rebalance)
+	rebal, err := rebalance.Canonical(req.Rebalance)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, fmt.Errorf("rebalance: %v", err)
 	}
-	if rebal != "" && rebal != "none" && mapping != picpredict.MappingElement {
+	if rebal != "" && mapping != picpredict.MappingElement {
 		return nil, http.StatusBadRequest, fmt.Errorf("rebalance %q requires mapping \"element\", got %q", rebal, mapping)
 	}
 	if mapping != picpredict.MappingBin {
@@ -320,26 +328,61 @@ func (s *Server) predictTrace(ctx context.Context, req *PredictRequest, kind pic
 		Scenario: name,
 		ModelKey: Fingerprint(art.crc, kind, trainOpts),
 		Cache:    cacheLabel(hit),
+		Build:    cacheLabel(true),
 	}
 	for _, ranks := range req.Ranks {
 		if err := ctx.Err(); err != nil {
 			return nil, http.StatusGatewayTimeout, err
 		}
-		q.Workload = picpredict.WorkloadOptions{
+		wl, built, err := s.workload(ctx, art, picpredict.WorkloadOptions{
 			Ranks:         ranks,
 			Mapping:       mapping,
 			Rebalance:     rebal,
 			FilterRadius:  req.Filter,
 			RelaxedBins:   req.RelaxedBins,
 			MidpointSplit: req.MidpointSplit,
+		})
+		if err != nil {
+			return nil, http.StatusInternalServerError, err
 		}
-		wl, pred, err := picpredict.PredictFromTrace(ctx, art.tr, models, q)
+		if !built {
+			resp.Build = cacheLabel(false)
+		}
+		pred, err := picpredict.PredictWorkload(models, wl, q)
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
 		resp.Results = append(resp.Results, resultOf(wl, pred))
 	}
 	return resp, http.StatusOK, nil
+}
+
+// maxRequestBytes is the most workload one rank count of a request may
+// need: a rank count whose computation matrices alone would exceed it is
+// refused with 413 before anything is generated or trained.
+const maxRequestBytes = 1 << 30
+
+// errWorkloadTooLarge marks a rank count refused by maxRequestBytes.
+var errWorkloadTooLarge = errors.New("workload exceeds the per-request memory budget")
+
+// affordable checks one rank count of a request against maxRequestBytes,
+// assuming ghosts are on and before any sparse non-zero is known.
+func affordable(art *traceArtefact, ranks int) error {
+	if need := picpredict.EstimateWorkloadBytes(ranks, art.tr.Frames(), true, 0); need > maxRequestBytes {
+		return fmt.Errorf("%w: %d ranks × %d frames needs at least %d bytes (limit %d)",
+			errWorkloadTooLarge, ranks, art.tr.Frames(), need, maxRequestBytes)
+	}
+	return nil
+}
+
+// workload resolves one build over a trace artefact through the build
+// cache; hit reports that no generator run was started for this call.
+func (s *Server) workload(ctx context.Context, art *traceArtefact, opts picpredict.WorkloadOptions) (wl *picpredict.Workload, hit bool, err error) {
+	key := newBuildKey(art.crc, opts)
+	floor := picpredict.EstimateWorkloadBytes(opts.Ranks, art.tr.Frames(), opts.FilterRadius > 0, 0)
+	return s.builds.get(ctx, key, floor, func(ctx context.Context) (*picpredict.Workload, error) {
+		return art.tr.GenerateWorkloadContext(obs.With(ctx, s.reg), key.opts)
+	})
 }
 
 // predictWorkload serves the replay path over a pre-generated workload.
@@ -366,6 +409,7 @@ func (s *Server) predictWorkload(ctx context.Context, req *PredictRequest, kind 
 		Scenario: req.Workload,
 		ModelKey: Fingerprint(art.crc, kind, trainOpts),
 		Cache:    cacheLabel(hit),
+		Build:    cacheLabel(true),
 		Results:  []PredictResult{resultOf(art.wl, pred)},
 	}, http.StatusOK, nil
 }
@@ -376,7 +420,7 @@ func (s *Server) predictWorkload(ctx context.Context, req *PredictRequest, kind 
 func (s *Server) models(ctx context.Context, crc string, kind picpredict.ModelKind, opts picpredict.TrainOptions, cacheOnly bool) (picpredict.Models, bool, error) {
 	key := Fingerprint(crc, kind, opts)
 	if cacheOnly {
-		m, ok, err := s.registry.Peek(ctx, key)
+		m, ok, err := s.registry.Peek(ctx, key, kind)
 		if err != nil {
 			return m, ok, err
 		}

@@ -14,8 +14,9 @@ import (
 // OptimizeRequest is the /v1/optimize body: a configuration grid to price
 // against one trace artefact. Ranks is a grid spec ("8,64,512-8352:x2");
 // the other axes default to the paper baselines. Every model the sweep
-// trains lands in the registry, so an optimize call warms the cache the
-// point /v1/predict path answers from.
+// trains lands in the registry, and every workload it builds goes through
+// the build cache, so an optimize call warms the caches the point
+// /v1/predict path answers from.
 type OptimizeRequest struct {
 	// Scenario names the trace artefact to sweep over (default: the
 	// server's first-loaded trace).
@@ -108,6 +109,11 @@ func (s *Server) optimize(ctx context.Context, req *OptimizeRequest) (*OptimizeR
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	for _, r := range ranks {
+		if err := affordable(art, r); err != nil {
+			return nil, http.StatusRequestEntityTooLarge, err
+		}
+	}
 	kinds := req.Kinds
 	if req.Model.Kind != "" {
 		if len(kinds) != 0 {
@@ -144,6 +150,10 @@ func (s *Server) optimize(ctx context.Context, req *OptimizeRequest) (*OptimizeR
 		CostWeight:     req.CostWeight,
 		Top:            req.Top,
 		Obs:            s.reg,
+		Workloads: func(ctx context.Context, o picpredict.WorkloadOptions) (*picpredict.Workload, error) {
+			wl, _, err := s.workload(ctx, art, o)
+			return wl, err
+		},
 	}
 	if req.TotalElements > 0 {
 		opts.TotalElements = req.TotalElements

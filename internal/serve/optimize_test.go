@@ -102,7 +102,8 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 
 	// Cache warming: a point predict for a swept configuration hits the
-	// models the sweep left resident, with zero additional training.
+	// models the sweep left resident, with zero additional training, and
+	// the workload the second sweep admitted to the build cache.
 	for _, kind := range []string{"synthetic", "wallclock"} {
 		status, raw := postPredict(t, ts.URL,
 			`{"ranks":[8],"mapping":"bin","filter":0.004,"model":{"kind":"`+kind+`","fast":true,"seed":1}}`)
@@ -115,6 +116,9 @@ func TestOptimizeEndpoint(t *testing.T) {
 		}
 		if pr.Cache != "hit" {
 			t.Errorf("post-sweep predict (%s) cache = %q, want hit (sweep must warm the registry)", kind, pr.Cache)
+		}
+		if pr.Build != "hit" {
+			t.Errorf("post-sweep predict (%s) build = %q, want hit (sweeps share the build cache)", kind, pr.Build)
 		}
 		key := Fingerprint(testCRC, picpredict.ModelKind(kind), picpredict.TrainOptions{Fast: true, Seed: 1})
 		if got := st.count(key); got != 1 {

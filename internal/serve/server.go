@@ -103,10 +103,10 @@ type workloadArtefact struct {
 type trainerFunc func(ctx context.Context, kind picpredict.ModelKind, opts picpredict.TrainOptions) (picpredict.Models, error)
 
 // Server is the long-running prediction service: loaded artefacts, the
-// model registry, the admission-controlled worker pool, and the HTTP
-// endpoints over them. Build one with New, register artefacts with
-// AddTrace/AddWorkload, then either run the full lifecycle with Serve or
-// mount Handler on an external server (tests use httptest).
+// model registry, the workload build cache, the admission-controlled worker
+// pool, and the HTTP endpoints over them. Build one with New, register
+// artefacts with AddTrace/AddWorkload, then either run the full lifecycle
+// with Serve or mount Handler on an external server (tests use httptest).
 type Server struct {
 	cfg Config
 	reg *obs.Registry
@@ -116,6 +116,7 @@ type Server struct {
 	defaultTrace string
 
 	registry   *Registry
+	builds     *buildCache
 	cancelLife context.CancelFunc
 	pool       *pool
 	trainer    trainerFunc
@@ -145,6 +146,7 @@ func New(cfg Config) *Server {
 		traces:     make(map[string]*traceArtefact),
 		workloads:  make(map[string]*workloadArtefact),
 		registry:   NewRegistry(life, cfg.ModelCapacity, cfg.Obs),
+		builds:     newBuildCache(life, buildCacheBytes, cfg.Obs),
 		cancelLife: cancel,
 		pool:       newPool(cfg.Workers, cfg.Queue),
 		trainer: func(_ context.Context, kind picpredict.ModelKind, opts picpredict.TrainOptions) (picpredict.Models, error) {

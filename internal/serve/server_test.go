@@ -28,7 +28,7 @@ var (
 	modelsErr    error
 )
 
-func testModels(t *testing.T) picpredict.Models {
+func testModels(t testing.TB) picpredict.Models {
 	t.Helper()
 	modelsOnce.Do(func() {
 		sharedModels, modelsErr = picpredict.TrainModels(picpredict.TrainOptions{Seed: 1, Fast: true})
@@ -46,7 +46,7 @@ var (
 	cachedTrEr error
 )
 
-func testTrace(t *testing.T) *picpredict.Trace {
+func testTrace(t testing.TB) *picpredict.Trace {
 	t.Helper()
 	traceOnce.Do(func() {
 		sc := picpredict.HeleShaw().WithParticles(120).WithSteps(20).WithSampleEvery(5)
@@ -97,7 +97,7 @@ const testCRC = "0xtesttrace"
 
 // newTestServer assembles a server over the shared test trace with a stub
 // trainer; cfg zero-values take the serving defaults.
-func newTestServer(t *testing.T, cfg Config, delay time.Duration) (*Server, *stubTrainer) {
+func newTestServer(t testing.TB, cfg Config, delay time.Duration) (*Server, *stubTrainer) {
 	t.Helper()
 	if cfg.TotalElements == 0 {
 		cfg.TotalElements = 16384
@@ -201,22 +201,36 @@ func TestEndpoints(t *testing.T) {
 	if err := json.Unmarshal(raw, &pr); err != nil || pr.Cache != "hit" {
 		t.Fatalf("warm predict cache = %q err=%v, want hit", pr.Cache, err)
 	}
+	// Builds are admitted on a key's second request, so only the third
+	// skips the generator.
+	if pr.Build != "miss" {
+		t.Fatalf("second predict build = %q, want miss (admission build)", pr.Build)
+	}
+	status, raw = postPredict(t, ts.URL, `{"ranks":[8,16],"mapping":"bin","filter":0.004,"model":{"fast":true,"seed":1}}`)
+	if err := json.Unmarshal(raw, &pr); err != nil || status != http.StatusOK || pr.Build != "hit" {
+		t.Fatalf("third predict: %d build=%q err=%v, want 200 with a build hit", status, pr.Build, err)
+	}
 
-	// /v1/models reflects the one resident entry.
+	// /v1/models reflects the one resident model and the two resident
+	// workloads.
 	resp, err = http.Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ml struct {
-		Capacity int         `json:"capacity"`
-		Models   []EntryInfo `json:"models"`
+		Capacity int            `json:"capacity"`
+		Models   []EntryInfo    `json:"models"`
+		Builds   BuildCacheInfo `json:"builds"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&ml); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(ml.Models) != 1 || ml.Models[0].State != "ready" || ml.Models[0].Hits != 1 {
-		t.Fatalf("/v1/models = %+v, want one ready entry with 1 hit", ml)
+	if len(ml.Models) != 1 || ml.Models[0].State != "ready" || ml.Models[0].Hits != 2 {
+		t.Fatalf("/v1/models = %+v, want one ready entry with 2 hits", ml)
+	}
+	if b := ml.Builds; b.Entries != 2 || b.Bytes <= 0 || b.Bytes > b.BudgetBytes || b.BudgetBytes != buildCacheBytes {
+		t.Fatalf("/v1/models builds = %+v, want the two admitted workloads within the budget", b)
 	}
 }
 

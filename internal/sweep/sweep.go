@@ -111,17 +111,13 @@ func (g Grid) normalize() (Grid, error) {
 	seenReb := make(map[string]bool)
 	hasDynamic := false
 	for _, s := range g.Rebalances {
-		spec, err := rebalance.ParseSpec(s)
+		// "" is the canonical none so Config JSON omits the field and the
+		// pre-rebalance document shapes are preserved byte for byte.
+		canon, err := rebalance.Canonical(s)
 		if err != nil {
 			return Grid{}, fmt.Errorf("%w: %v", ErrSpec, err)
 		}
-		// "" is the canonical none so Config JSON omits the field and the
-		// pre-rebalance document shapes are preserved byte for byte.
-		canon := ""
-		if !spec.None() {
-			canon = spec.String()
-			hasDynamic = true
-		}
+		hasDynamic = hasDynamic || canon != ""
 		if !seenReb[canon] {
 			seenReb[canon] = true
 			rebals = append(rebals, canon)
@@ -234,6 +230,11 @@ type Result struct {
 // TrainModelsKind.
 type ModelsFunc func(ctx context.Context, kind picpredict.ModelKind) (picpredict.Models, error)
 
+// WorkloadsFunc resolves one shared workload build. The serving layer backs
+// it with its build cache, so a sweep's builds are visible to later point
+// predicts; without one the engine generates every build from the trace.
+type WorkloadsFunc func(ctx context.Context, opts picpredict.WorkloadOptions) (*picpredict.Workload, error)
+
 // Options tunes one sweep run.
 type Options struct {
 	// Filter, RelaxedBins, and MidpointSplit configure the Dynamic
@@ -260,6 +261,10 @@ type Options struct {
 	// Top truncates the returned frontier (0 keeps every point). Fastest,
 	// Knee, and Curves always consider all points.
 	Top int
+	// Workloads, when set, resolves every shared build in place of
+	// tr.GenerateWorkloadContext; the options it receives are exactly the
+	// ones the engine would generate with.
+	Workloads WorkloadsFunc
 	// Obs (nil-safe) receives the sweep.* phase timers and counters.
 	Obs *obs.Registry
 	// Stages additionally emits obs stage marks (sweep-enumerate,
@@ -352,9 +357,13 @@ func Run(ctx context.Context, tr *picpredict.Trace, grid Grid, opts Options, mod
 		}
 		modelByKind[k] = m
 	}
+	generate := opts.Workloads
+	if generate == nil {
+		generate = tr.GenerateWorkloadContext
+	}
 	workloads := make([]*picpredict.Workload, len(builds))
 	err = runPool(ctx, opts.Workers, len(builds), func(ctx context.Context, i int) error {
-		wl, err := tr.GenerateWorkloadContext(ctx, picpredict.WorkloadOptions{
+		wl, err := generate(ctx, picpredict.WorkloadOptions{
 			Ranks:         builds[i].ranks,
 			Mapping:       builds[i].mapping,
 			Rebalance:     builds[i].rebalance,

@@ -147,6 +147,41 @@ func TestRunInvariantToWorkers(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadsResolver: a Workloads resolver receives each shared
+// build's exact generator options once, and a resolver that generates the
+// same workloads yields the same result as the engine's own builds.
+func TestRunWorkloadsResolver(t *testing.T) {
+	tr, models, _ := fixture(t)
+	base, err := Run(context.Background(), tr, testGrid(), testOptions(4), fixedModels(models))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[picpredict.WorkloadOptions]int{}
+	opts := testOptions(4)
+	opts.Workloads = func(ctx context.Context, o picpredict.WorkloadOptions) (*picpredict.Workload, error) {
+		mu.Lock()
+		seen[o]++
+		mu.Unlock()
+		return tr.GenerateWorkloadContext(ctx, o)
+	}
+	res, err := Run(context.Background(), tr, testGrid(), opts, fixedModels(models))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base, res) {
+		t.Fatalf("resolver result differs from the engine's own builds\nbase: %+v\n got: %+v", base, res)
+	}
+	if len(seen) != res.SharedBuilds {
+		t.Errorf("resolver saw %d distinct builds, want %d", len(seen), res.SharedBuilds)
+	}
+	for o, n := range seen {
+		if n != 1 || o.FilterRadius != opts.Filter {
+			t.Errorf("build %+v resolved %d times, want once with the sweep's filter", o, n)
+		}
+	}
+}
+
 // TestRunInvariantToEnumerationOrder permutes every grid axis: the ranked
 // frontier depends only on the configuration *set*.
 func TestRunInvariantToEnumerationOrder(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"picpredict/internal/core"
 	"picpredict/internal/metrics"
@@ -385,6 +386,61 @@ func ReadWorkloadSalvaged(r io.Reader) (*Workload, *Salvage, error) {
 		return out, &Salvage{Recovered: inner.RealComp.Frames(), Damage: fmt.Errorf("picpredict: %w", damage)}, nil
 	}
 	return out, nil, nil
+}
+
+// Per-item costs of the size estimate, in bytes. A comp-matrix cell is one
+// int64. A sparse non-zero is a map[uint64]int64 slot: 16 B of key and
+// value plus bucket overhead at a load factor between half and full. Each
+// frame of a comp matrix and its communication series carries an iteration
+// number, a map header, its first bucket and the matrix wrapper.
+const (
+	compCellBytes = 8
+	nonZeroBytes  = 40
+	perFrameBytes = 264
+)
+
+// EstimateWorkloadBytes estimates the heap a generated workload retains
+// from its shape alone: ranks × frames comp cells for the real particles,
+// as many again when ghosts are on, plus the sparse non-zeros of every
+// communication and migration series. With nonZeros = 0 it is a lower
+// bound known before generation, which is how a server refuses a rank
+// count it cannot afford before allocating anything. The estimate
+// saturates at math.MaxInt64 instead of overflowing.
+func EstimateWorkloadBytes(ranks, frames int, ghosts bool, nonZeros int64) int64 {
+	if ranks <= 0 || frames <= 0 {
+		return 0
+	}
+	copies := int64(1)
+	if ghosts {
+		copies = 2
+	}
+	perRank := copies * int64(frames) * compCellBytes
+	fixed := copies * int64(frames) * perFrameBytes
+	room := int64(math.MaxInt64) - fixed
+	if nonZeros > room/nonZeroBytes {
+		return math.MaxInt64
+	}
+	room -= nonZeros * nonZeroBytes
+	if int64(ranks) > room/perRank {
+		return math.MaxInt64
+	}
+	return int64(ranks)*perRank + fixed + nonZeros*nonZeroBytes
+}
+
+// Bytes estimates the heap this workload retains (EstimateWorkloadBytes
+// over its own shape and non-zero count). A serving cache accounts its
+// resident workloads with it.
+func (w *Workload) Bytes() int64 {
+	var nnz int64
+	for _, s := range []*sparse.Series{w.inner.RealComm, w.inner.GhostComm, w.inner.MigElemComm, w.inner.MigPartComm} {
+		if s == nil {
+			continue
+		}
+		for k := 0; k < s.Frames(); k++ {
+			nnz += int64(s.At(k).NumNonZero())
+		}
+	}
+	return EstimateWorkloadBytes(w.Ranks(), w.Frames(), w.inner.GhostComp != nil, nnz)
 }
 
 // internalWorkload exposes the core workload to sibling facade files.
